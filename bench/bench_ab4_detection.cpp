@@ -9,8 +9,8 @@
 //      excludes a crashed member, as a function of the ping suspector's
 //      timeout — plus the false-suspicion rate the same timeout produces
 //      under a delay surge with NO failure (the cost of guessing).
-#include "fsnewtop/deployment.hpp"
-#include "newtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/newtop.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/report.hpp"
 
@@ -23,12 +23,12 @@ namespace {
 /// (a) FS-NewTOP: inject output corruption at member 2's follower node at
 /// t=inject; return time until members 0 and 1 both install {0,1}.
 Duration fs_detection_time(Duration delta, Duration slack, std::uint64_t seed) {
-    fsnewtop::FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.seed = seed;
     opts.fs_config.delta = delta;
     opts.fs_config.compare_slack = slack;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::FsNewTopDeployment d(opts);
 
     // Warm up with traffic, then turn node faulty.
     for (int i = 0; i < 3; ++i) {
@@ -57,13 +57,13 @@ Duration fs_detection_time(Duration delta, Duration slack, std::uint64_t seed) {
 /// (b) NewTOP: crash member 2 at t=crash; return detection time, or measure
 /// false suspicions under a delay surge when nothing crashed.
 Duration newtop_detection_time(Duration suspect_timeout, std::uint64_t seed) {
-    newtop::NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.seed = seed;
     opts.start_suspectors = true;
     opts.suspector.ping_interval = 50 * kMillisecond;
     opts.suspector.suspect_timeout = suspect_timeout;
-    newtop::NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
 
     d.sim().run_until(300 * kMillisecond);
     const TimePoint crash = d.sim().now();
@@ -79,23 +79,23 @@ Duration newtop_detection_time(Duration suspect_timeout, std::uint64_t seed) {
             break;
         }
     }
-    d.stop_suspectors();
+    d.stop_perpetual();
     return detected < 0 ? -1 : detected - crash;
 }
 
 bool newtop_splits_under_surge(Duration suspect_timeout, Duration surge, std::uint64_t seed) {
-    newtop::NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.seed = seed;
     opts.start_suspectors = true;
     opts.suspector.ping_interval = 50 * kMillisecond;
     opts.suspector.suspect_timeout = suspect_timeout;
-    newtop::NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
 
     d.sim().run_until(300 * kMillisecond);
     d.faults().delay_surge(surge, d.sim().now() + 3 * kSecond);
     d.sim().run_until(d.sim().now() + 8 * kSecond);
-    d.stop_suspectors();
+    d.stop_perpetual();
     d.sim().run();
     return d.gc(0).view().members.size() < 3 || d.gc(1).view().members.size() < 3 ||
            d.gc(2).view().members.size() < 3;

@@ -13,7 +13,8 @@
 //     pair announces its own failure, no guessing).
 #include <cstdio>
 
-#include "baseline/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/pbft.hpp"
 #include "harness.hpp"
 #include "sim/stats.hpp"
 
@@ -27,10 +28,11 @@ struct BaselineResult {
 };
 
 BaselineResult run_pbft(std::uint32_t replicas, int requests, std::uint64_t seed) {
-    baseline::PbftOptions opts;
-    opts.replicas = replicas;
+    deploy::DeploymentSpec opts;
+    opts.group_size = static_cast<int>(replicas);
+    opts.threads_per_node = 10;
     opts.seed = seed;
-    baseline::PbftDeployment d(opts);
+    deploy::PbftDeployment d(opts);
 
     // Warm-up request, then measure a batch.
     d.submit(0, bytes_of("warm"));
@@ -40,9 +42,7 @@ BaselineResult run_pbft(std::uint32_t replicas, int requests, std::uint64_t seed
     sim::Stats latency;
     for (int i = 0; i < requests; ++i) {
         const TimePoint start = d.sim().now();
-        d.submit(static_cast<baseline::ReplicaId>(
-                     static_cast<std::uint32_t>(i) % replicas),
-                 bytes_of("req"));
+        d.submit(i % opts.group_size, bytes_of("req"));
         d.sim().run();
         latency.add(static_cast<double>(d.sim().now() - start) / kMillisecond);
     }
@@ -51,10 +51,10 @@ BaselineResult run_pbft(std::uint32_t replicas, int requests, std::uint64_t seed
 }
 
 BaselineResult run_fsnewtop(int group, int requests, std::uint64_t seed) {
-    fsnewtop::FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = group;
     opts.seed = seed;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::FsNewTopDeployment d(opts);
 
     d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("warm"));
     d.sim().run();
@@ -124,29 +124,36 @@ int main(int argc, char** argv) {
     // Liveness contrast.
     std::printf("\nLiveness when a key component goes silent:\n");
     {
-        baseline::PbftOptions opts;
-        opts.replicas = 4;
+        deploy::DeploymentSpec opts;
+        opts.group_size = 4;
+        opts.threads_per_node = 10;
         opts.seed = seed;
-        baseline::PbftDeployment d(opts);
-        for (baseline::ReplicaId r = 1; r < 4; ++r) {
+        deploy::PbftDeployment d(opts);
+        std::size_t delivered_at_1 = 0;
+        deploy::Observers observers;
+        observers.delivered = [&delivered_at_1](int member, const Bytes&) {
+            if (member == 1) ++delivered_at_1;
+        };
+        d.attach(std::move(observers));
+        for (int r = 1; r < 4; ++r) {
             d.faults().block(d.node_of(0), d.node_of(r));  // primary silent
         }
         d.submit(1, bytes_of("stuck"));
         d.sim().run();
-        const bool stalled = d.delivered(1).empty();
+        const bool stalled = delivered_at_1 == 0;
         d.fire_timeouts();
         d.sim().run();
         std::printf("  PBFT: primary silent -> %s; after timeout view-change -> delivered=%zu "
                     "(progress REQUIRES a timeout)\n",
                     stalled ? "stalled (nothing delivered)" : "progressed?!",
-                    d.delivered(1).size());
+                    delivered_at_1);
     }
     {
-        fsnewtop::FsNewTopOptions opts;
+        deploy::DeploymentSpec opts;
         opts.group_size = 3;
         opts.seed = seed;
-        opts.placement = fsnewtop::Placement::kFull;
-        fsnewtop::FsNewTopDeployment d(opts);
+        opts.placement = deploy::Placement::kFull;
+        deploy::FsNewTopDeployment d(opts);
         d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("warm"));
         d.sim().run();
         d.faults().block(NodeId{3}, NodeId{4});  // member 1's pair link dies

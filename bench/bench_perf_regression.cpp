@@ -411,7 +411,7 @@ void bench_recovery(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
             cell.suspector.suspect_timeout = 300 * kMillisecond;
         }
         if (system == scenario::SystemKind::kFsNewTop) {
-            cell.placement = fsnewtop::Placement::kFull;
+            cell.placement = deploy::Placement::kFull;
         }
 
         const double start = now_ms();

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <deque>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 using namespace failsig;
 using newtop::Delivery;
@@ -58,9 +58,9 @@ Bytes order(const std::string& party, const std::string& side, std::int64_t qty)
 
 int main() {
     constexpr int kMembers = 3;
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = kMembers;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = kMembers;
+    deploy::FsNewTopDeployment d(spec);
 
     OrderBook books[kMembers];
     std::vector<newtop::GroupView> views;

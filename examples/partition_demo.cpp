@@ -11,8 +11,8 @@
 // Run: ./partition_demo
 #include <cstdio>
 
-#include "fsnewtop/deployment.hpp"
-#include "newtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
+#include "deploy/newtop.hpp"
 
 using namespace failsig;
 
@@ -22,12 +22,12 @@ int main() {
 
     std::printf("--- crash-tolerant NewTOP (ping suspector, 200 ms timeout) ---\n");
     {
-        newtop::NewTopOptions opts;
-        opts.group_size = kMembers;
-        opts.start_suspectors = true;
-        opts.suspector.ping_interval = 50 * kMillisecond;
-        opts.suspector.suspect_timeout = 200 * kMillisecond;
-        newtop::NewTopDeployment d(opts);
+        deploy::DeploymentSpec spec;
+        spec.group_size = kMembers;
+        spec.start_suspectors = true;
+        spec.suspector.ping_interval = 50 * kMillisecond;
+        spec.suspector.suspect_timeout = 200 * kMillisecond;
+        deploy::NewTopDeployment d(spec);
 
         d.sim().run_until(500 * kMillisecond);
         std::printf("before surge: view at member 0 = %s\n",
@@ -35,7 +35,7 @@ int main() {
 
         d.faults().delay_surge(kSurge, d.sim().now() + 2 * kSecond);
         d.sim().run_until(d.sim().now() + 8 * kSecond);
-        d.stop_suspectors();
+        d.stop_perpetual();
         d.sim().run();
 
         for (int i = 0; i < kMembers; ++i) {
@@ -48,9 +48,9 @@ int main() {
 
     std::printf("--- FS-NewTOP (fail-signal suspector; suspicions cannot be false) ---\n");
     {
-        fsnewtop::FsNewTopOptions opts;
-        opts.group_size = kMembers;
-        fsnewtop::FsNewTopDeployment d(opts);
+        deploy::DeploymentSpec spec;
+        spec.group_size = kMembers;
+        deploy::FsNewTopDeployment d(spec);
 
         d.invocation(0).multicast(newtop::ServiceType::kSymmetricTotalOrder, bytes_of("before"));
         d.sim().run();

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <map>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 using namespace failsig;
 using newtop::Delivery;
@@ -51,9 +51,9 @@ Bytes bid(const std::string& bidder, std::int64_t amount) {
 
 int main() {
     constexpr int kMembers = 3;
-    fsnewtop::FsNewTopOptions opts;
-    opts.group_size = kMembers;
-    fsnewtop::FsNewTopDeployment d(opts);
+    deploy::DeploymentSpec spec;
+    spec.group_size = kMembers;
+    deploy::FsNewTopDeployment d(spec);
 
     AuctionState replicas[kMembers];
     for (int i = 0; i < kMembers; ++i) {

@@ -94,6 +94,7 @@ void KeyService::register_principal(const std::string& name) {
 
 void KeyService::rotate_principal(const std::string& name) {
     make_entry(name);
+    const std::lock_guard lock(memo_mu_);
     memo_.erase(name);
 }
 
@@ -127,15 +128,19 @@ bool KeyService::verify_cached(const std::string& name, std::span<const std::uin
     w.bytes(message);
     w.bytes(signature);
     const std::string digest = to_hex(sha256(w.view()));
-    auto& per_principal = memo_[name];
-    const auto hit = per_principal.find(digest);
-    if (hit != per_principal.end()) {
-        ++verify_cache_hits_;
-        return hit->second;
+    {
+        const std::lock_guard lock(memo_mu_);
+        const auto& per_principal = memo_[name];
+        const auto hit = per_principal.find(digest);
+        if (hit != per_principal.end()) {
+            ++verify_cache_hits_;
+            return hit->second;
+        }
+        ++verify_ops_;
     }
-    ++verify_ops_;
     const bool ok = it->second.verifier->verify(message, signature);
-    per_principal.emplace(digest, ok);
+    const std::lock_guard lock(memo_mu_);
+    memo_[name].emplace(digest, ok);
     return ok;
 }
 

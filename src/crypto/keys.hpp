@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -72,6 +73,9 @@ public:
     /// signature) triple that already verified costs one hash instead of a
     /// public-key operation. This is what makes relaying a double-signed
     /// envelope O(1) RSA verifies per (principal, digest) across all hops.
+    /// Thread-safe: the memo and the counters are guarded (every executor
+    /// thread of a TCP deployment shares one KeyService); the verifier
+    /// itself runs outside the lock.
     [[nodiscard]] bool verify_cached(const std::string& name,
                                      std::span<const std::uint8_t> message,
                                      std::span<const std::uint8_t> signature) const;
@@ -80,8 +84,14 @@ public:
 
     /// Real verifier invocations (memo misses) and memo hits, for the
     /// perf-regression bench.
-    [[nodiscard]] std::uint64_t verify_ops() const { return verify_ops_; }
-    [[nodiscard]] std::uint64_t verify_cache_hits() const { return verify_cache_hits_; }
+    [[nodiscard]] std::uint64_t verify_ops() const {
+        const std::lock_guard lock(memo_mu_);
+        return verify_ops_;
+    }
+    [[nodiscard]] std::uint64_t verify_cache_hits() const {
+        const std::lock_guard lock(memo_mu_);
+        return verify_cache_hits_;
+    }
 
 private:
     struct Entry {
@@ -95,6 +105,8 @@ private:
     std::size_t rsa_bits_;
     Rng rng_;
     std::unordered_map<std::string, Entry> entries_;
+    /// Guards memo_, verify_ops_ and verify_cache_hits_.
+    mutable std::mutex memo_mu_;
     /// principal -> digest(message, signature) -> verdict.
     mutable std::unordered_map<std::string, std::unordered_map<std::string, bool>> memo_;
     mutable std::uint64_t verify_ops_{0};

@@ -6,9 +6,11 @@
 // the members, submit workload messages, inject faults (crash / partition /
 // Byzantine fault plans / liveness timeouts), observe deliveries, views and
 // fail-signals, and reach the owning Simulation/SimNetwork — so the scenario
-// engine (src/scenario/runner.cpp) contains exactly one execution path and a
-// fourth system plugs in by implementing this interface and registering a
-// factory; no engine edits.
+// engine (src/scenario/runner.cpp) contains exactly one execution path.
+// Each stack is one class built straight from a DeploymentSpec
+// (deploy/{newtop,fsnewtop,pbft}.hpp, over the shared simulator setup in
+// deploy/stack.hpp); a fourth system is one more such class plus one case
+// in make_deployment's switch — no engine edits.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +23,6 @@
 #include "common/batch.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
-#include "fsnewtop/deployment.hpp"
 #include "net/network.hpp"
 #include "net/runtime_env.hpp"
 #include "newtop/suspector.hpp"
@@ -33,7 +34,7 @@
 namespace failsig::deploy {
 
 /// Which deployment a scenario drives. Extending the comparison means adding
-/// a value here and registering a factory (see `register_deployment`).
+/// a value here and a case to make_deployment/traits_of.
 enum class SystemKind : std::uint8_t { kNewTop = 0, kFsNewTop = 1, kPbft = 2 };
 
 const char* name_of(SystemKind system);
@@ -45,11 +46,29 @@ enum class Backend : std::uint8_t { kSim = 0, kTcp = 1 };
 
 const char* name_of(Backend backend);
 
+/// Physical layout of FS-NewTOP (paper §3.1). Each member's GC service is a
+/// fail-signal pair {FSO_i, FSO'_i} whose two wrapper objects live on
+/// distinct nodes joined by a synchronous link.
+///   * kFull (Figure 4): 2n nodes — each pair gets its own two nodes; the
+///     application and Invocation layer live on the leader's node. Masking f
+///     Byzantine faults at the application level then needs 4f+2 nodes.
+///   * kCollocated (Figure 5): n nodes — node i hosts A_i, FSO_i and the
+///     follower FSO'_{i-1} of the previous member, halving the node count.
+///     This is the paper's experimental set-up (it loads every node with two
+///     wrapper objects, deliberately favouring plain NewTOP in comparisons).
+enum class Placement { kCollocated, kFull };
+
 /// System-agnostic construction knobs: the projection of a
 /// scenario::Scenario a deployment needs to build itself. Stack-specific
 /// fields are ignored by the stacks they don't concern.
 struct DeploymentSpec {
     int group_size{3};
+    /// Concurrent CPU capacity per node. The paper's ORB pool has 10
+    /// *threads*, but they multiplex onto Pentium III *dual-processor*
+    /// nodes; since the simulator charges pure CPU time (no blocking I/O),
+    /// the faithful worker count is the CPU count. This is what makes the
+    /// collocated FS deployment (two wrapper objects per node, Figure 5)
+    /// genuinely contend for cycles. bench_ab2 sweeps this knob.
     int threads_per_node{2};
     std::uint64_t seed{1};
     newtop::ServiceType service{newtop::ServiceType::kSymmetricTotalOrder};
@@ -57,12 +76,13 @@ struct DeploymentSpec {
     /// by default — max_requests <= 1 keeps the wire byte-identical).
     BatchConfig batch{};
 
-    // NewTOP only.
+    // NewTOP only. When start_suspectors is false no ping traffic exists
+    // (the paper's failure-free runs eliminate false suspicions).
     bool start_suspectors{false};
     newtop::SuspectorOptions suspector{};
 
     // FS-NewTOP only.
-    fsnewtop::Placement placement{fsnewtop::Placement::kCollocated};
+    Placement placement{Placement::kCollocated};
     fs::FsConfig fs_config{};
 
     /// Per-run observability context (metrics + spans + flight recorder);
@@ -73,7 +93,7 @@ struct DeploymentSpec {
 
     /// Execution backend. kSim is the deterministic default; kTcp runs the
     /// same stack over real sockets (deploy::TcpDeployment wraps the
-    /// registered factory's deployment). Not serialized into reports.
+    /// system's sim-backend deployment). Not serialized into reports.
     Backend backend{Backend::kSim};
     /// External runtime environment forwarded into the stack (the TCP
     /// wrapper fills this; external callers leave it default).
@@ -276,13 +296,7 @@ struct SystemTraits {
     const char* min_group_reason{""};
 };
 
-using DeploymentFactory = std::function<std::unique_ptr<Deployment>(const DeploymentSpec&)>;
-
-/// Registers (or replaces) the factory for a system. The three built-in
-/// stacks self-register; a fourth system calls this once at startup.
-void register_deployment(SystemKind system, DeploymentFactory factory,
-                         SystemTraits traits = {});
-
+/// Throws std::logic_error for unknown systems.
 [[nodiscard]] SystemTraits traits_of(SystemKind system);
 
 /// Builds the deployment for `system`. Throws std::logic_error for unknown

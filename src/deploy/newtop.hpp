@@ -1,37 +1,45 @@
-// Deployment adapter for crash-tolerant NewTOP (the paper's baseline group
-// communication stack): n hosts, one NSO each, optional ping suspectors.
+// Crash-tolerant NewTOP, the paper's baseline group communication stack
+// (§4): n hosts, each running one NSO (Invocation service + GC object) and a
+// ping suspector, all wired over the deployment's network.
 #pragma once
 
-#include "deploy/deployment.hpp"
-#include "newtop/deployment.hpp"
+#include <memory>
+
+#include "deploy/stack.hpp"
+#include "newtop/invocation.hpp"
+#include "newtop/suspector.hpp"
 
 namespace failsig::deploy {
 
-class NewTopDeployment final : public Deployment {
+class NewTopDeployment final : public StackDeployment {
 public:
     explicit NewTopDeployment(const DeploymentSpec& spec);
 
-    [[nodiscard]] sim::Simulation& sim() override { return inner_.sim(); }
-    [[nodiscard]] net::Transport& network() override { return inner_.network(); }
-    [[nodiscard]] net::FaultInjector& faults() override { return inner_.faults(); }
-    [[nodiscard]] int group_size() const override { return inner_.group_size(); }
-    [[nodiscard]] std::vector<NodeId> nodes_of(int member) const override {
-        return {inner_.node_of(member)};
-    }
-
     void attach(Observers observers) override;
     void submit(int member, Bytes payload) override;
-    void stop_perpetual_member(int member) override { inner_.stop_suspector(member); }
-    [[nodiscard]] BatchStats batch_stats() const override { return inner_.batch_stats(); }
+    /// Stops the member's ping suspector (lets Simulation::run() terminate).
+    void stop_perpetual_member(int member) override { suspector(member).stop(); }
+    [[nodiscard]] BatchStats batch_stats() const override;
 
     std::vector<RecoveryStep> recover_steps(int member) override;
     [[nodiscard]] std::optional<AppStateInfo> app_state_of(int member) override;
     [[nodiscard]] RecoveryStats recovery_stats() const override;
 
-private:
-    static newtop::NewTopOptions make_options(const DeploymentSpec& spec);
+    // --- inspection -------------------------------------------------------
+    [[nodiscard]] newtop::PlainInvocation& invocation(int member);
+    [[nodiscard]] newtop::GcService& gc(int member);
+    [[nodiscard]] const newtop::GcService& gc(int member) const;
+    [[nodiscard]] newtop::GcServant& gc_servant(int member);
+    [[nodiscard]] newtop::PingSuspector& suspector(int member);
 
-    newtop::NewTopDeployment inner_;
+private:
+    struct Member {
+        std::unique_ptr<newtop::GcServant> gc;
+        std::unique_ptr<newtop::PlainInvocation> invocation;
+        std::unique_ptr<newtop::PingSuspector> suspector;
+    };
+
+    std::vector<Member> members_;
     newtop::ServiceType service_;
     Observers observers_;
 };

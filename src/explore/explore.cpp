@@ -141,7 +141,7 @@ Scenario generate_episode(const ExploreConfig& config, SystemKind system, int n,
     if (system == SystemKind::kFsNewTop) {
         // Dedicated pair nodes: host-level faults stay expressible for every
         // script the grammar can draw.
-        s.placement = fsnewtop::Placement::kFull;
+        s.placement = deploy::Placement::kFull;
     }
     if (system == SystemKind::kNewTop && config.grammar.newtop_suspectors) {
         s.start_suspectors = true;

@@ -386,7 +386,7 @@ std::string to_spec(const Scenario& s, const std::string& expect_violation) {
     out += "suspector_ping_us = " + std::to_string(s.suspector.ping_interval) + "\n";
     out += "suspector_timeout_us = " + std::to_string(s.suspector.suspect_timeout) + "\n";
     out += std::string("placement = ") +
-           (s.placement == fsnewtop::Placement::kFull ? "full" : "collocated") + "\n";
+           (s.placement == deploy::Placement::kFull ? "full" : "collocated") + "\n";
     // FS-NewTOP timing-bound parameters (fs::FsConfig): behavior-bearing, so
     // the spec must carry them — a reproducer replayed under different
     // δ/κ/σ bounds is a different scenario.
@@ -489,8 +489,8 @@ Result<ReproSpec> parse_spec(const std::string& text) {
                 return bad("suspector_timeout_us");
             }
         } else if (key == "placement") {
-            if (value == "full") s.placement = fsnewtop::Placement::kFull;
-            else if (value == "collocated") s.placement = fsnewtop::Placement::kCollocated;
+            if (value == "full") s.placement = deploy::Placement::kFull;
+            else if (value == "collocated") s.placement = deploy::Placement::kCollocated;
             else return bad("placement (want full|collocated)");
         } else if (key == "fs_delta_us") {
             if (!parse_i64(value, s.fs_config.delta) || s.fs_config.delta < 0) {

@@ -18,14 +18,13 @@
 #include "deploy/deployment.hpp"
 #include "fs/fault.hpp"
 #include "fs/fso.hpp"
-#include "fsnewtop/deployment.hpp"
 #include "newtop/suspector.hpp"
 #include "newtop/types.hpp"
 
 namespace failsig::scenario {
 
 /// Which deployment the scenario drives (see deploy/deployment.hpp — the
-/// engine is keyed on this through the deployment registry).
+/// engine builds it through deploy::make_deployment).
 using deploy::SystemKind;
 using deploy::name_of;
 
@@ -153,7 +152,7 @@ struct Scenario {
     // System-specific knobs.
     bool start_suspectors{false};                       ///< NewTOP only
     newtop::SuspectorOptions suspector{};               ///< NewTOP only
-    fsnewtop::Placement placement{fsnewtop::Placement::kCollocated};  ///< FS-NewTOP
+    deploy::Placement placement{deploy::Placement::kCollocated};  ///< FS-NewTOP
     fs::FsConfig fs_config{};                           ///< FS-NewTOP
 
     /// Observability (src/obs): when enabled, the run collects lifecycle

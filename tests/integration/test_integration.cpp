@@ -9,11 +9,12 @@
 //   Determinism— a run is a pure function of its seed.
 #include <gtest/gtest.h>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 namespace failsig::fsnewtop {
 namespace {
 
+using deploy::FsNewTopDeployment;
 using newtop::Delivery;
 using newtop::ServiceType;
 
@@ -34,7 +35,7 @@ struct Log {
 std::vector<std::string> run_total_order(int n, std::uint64_t seed, ServiceType svc,
                                          int msgs_per_member,
                                          std::vector<std::vector<std::string>>* all_logs) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = n;
     opts.seed = seed;
     FsNewTopDeployment d(opts);
@@ -126,7 +127,7 @@ TEST(IntegrationDeterminism, DifferentSeedsMayDifferButStayCorrect) {
 }
 
 TEST(IntegrationCausal, CausalChainsHoldAcrossTheFullStack) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Log log;
@@ -148,7 +149,7 @@ TEST(IntegrationCausal, CausalChainsHoldAcrossTheFullStack) {
 }
 
 TEST(IntegrationReliable, FifoHoldsThroughFsWrapping) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Log log;
@@ -170,7 +171,7 @@ TEST(IntegrationReliable, FifoHoldsThroughFsWrapping) {
 
 TEST(IntegrationFaults, TwoSimultaneousByzantinePairsAreBothExcluded) {
     // With 5 members, two pairs fail (one node each, assumption A1 per pair).
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 5;
     FsNewTopDeployment d(opts);
     Log log;
@@ -199,7 +200,7 @@ TEST(IntegrationFaults, TwoSimultaneousByzantinePairsAreBothExcluded) {
 }
 
 TEST(IntegrationFaults, LateFaultPreservesPrefixAgreement) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Log log;

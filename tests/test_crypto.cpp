@@ -1,7 +1,12 @@
 // Unit tests for the crypto substrate: digests against published test
 // vectors, bignum arithmetic properties, RSA round-trips and tamper
-// rejection, HMAC vectors, and signed-envelope chains.
+// rejection, HMAC vectors, signed-envelope chains, and the verify memo
+// under concurrent callers.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/biguint.hpp"
@@ -446,6 +451,50 @@ INSTANTIATE_TEST_SUITE_P(Backends, KeyServiceTest,
                              return info.param == crypto::KeyService::Backend::kHmac ? "Hmac"
                                                                                      : "Rsa";
                          });
+
+TEST(KeyService, VerifyCachedIsSafeAcrossThreads) {
+    // One KeyService is shared by every executor thread of a TCP
+    // deployment, so the verify memo and its counters see concurrent
+    // lookups and inserts. Four threads verify overlapping (message,
+    // signature) pairs, genuine and mismatched: every verdict must be right
+    // and every call must land in exactly one counter. Build with
+    // -DFAILSIG_SANITIZE=thread to have a data race reported here.
+    KeyService keys(KeyService::Backend::kHmac, 512, 5);
+    keys.register_principal("GC:0");
+    constexpr int kThreads = 4;
+    constexpr int kMessages = 64;
+    constexpr int kRounds = 8;
+    std::vector<Bytes> msgs;
+    std::vector<Bytes> sigs;
+    for (int i = 0; i < kMessages; ++i) {
+        msgs.push_back(B("m" + std::to_string(i)));
+        sigs.push_back(keys.signer("GC:0").sign(msgs.back()));
+    }
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                for (int i = 0; i < kMessages; ++i) {
+                    const auto m = static_cast<std::size_t>((i + 16 * t) % kMessages);
+                    const auto other = (m + 1) % kMessages;
+                    if (!keys.verify_cached("GC:0", msgs[m], sigs[m])) ++wrong;
+                    if (keys.verify_cached("GC:0", msgs[m], sigs[other])) ++wrong;
+                }
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    const std::uint64_t calls = 2ULL * kThreads * kRounds * kMessages;
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(), calls);
+    // Each distinct pair is verified at least once and at most once per
+    // thread (concurrent first misses may both run the verifier).
+    EXPECT_GE(keys.verify_ops(), 2ULL * kMessages);
+    EXPECT_LE(keys.verify_ops(), 2ULL * kMessages * kThreads);
+}
 
 TEST(SignedEnvelope, DoubleSignedValidation) {
     KeyService keys(KeyService::Backend::kHmac, 512, 10);

@@ -3,7 +3,7 @@
 // attach and fire, submissions are delivered with total-order agreement,
 // crashes silence the crashed member without stopping the healthy ones, and
 // capability-gated hooks report their absence instead of misbehaving. The
-// suite runs instantiated over all three registered systems TIMES both
+// suite runs instantiated over all three built-in systems TIMES both
 // execution backends (deterministic simulator, real TCP sockets) — exactly
 // the guarantee the scenario engine's single generic path relies on.
 // Byte-identical replay is asserted on the sim backend only; everything
@@ -94,7 +94,7 @@ DeploymentSpec spec_for(SystemKind kind, Backend backend, bool crash_ready) {
             spec.suspector.ping_interval = 50 * kMillisecond;
             spec.suspector.suspect_timeout = 300 * kMillisecond;
         }
-        if (kind == SystemKind::kFsNewTop) spec.placement = fsnewtop::Placement::kFull;
+        if (kind == SystemKind::kFsNewTop) spec.placement = deploy::Placement::kFull;
     }
     return spec;
 }
@@ -436,7 +436,7 @@ TEST_P(DeploymentConformance, CapabilityHooksReportTheirAbsenceInsteadOfActing) 
     EXPECT_EQ(d->supports_host_faults(), !collocated_fs);
     if (kind == SystemKind::kFsNewTop) {
         DeploymentSpec full = spec(false);
-        full.placement = fsnewtop::Placement::kFull;
+        full.placement = deploy::Placement::kFull;
         EXPECT_TRUE(make_deployment(kind, full)->supports_host_faults());
     }
 
@@ -457,6 +457,12 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, DeploymentConformance,
                                                               SystemKind::kPbft),
                                             ::testing::Values(Backend::kSim, Backend::kTcp)),
                          cell_test_name);
+
+TEST(MakeDeployment, RejectsAnUnknownSystemKind) {
+    const auto unknown = static_cast<SystemKind>(7);
+    EXPECT_THROW(make_deployment(unknown, DeploymentSpec{}), std::logic_error);
+    EXPECT_THROW((void)traits_of(unknown), std::logic_error);
+}
 
 }  // namespace
 }  // namespace failsig::deploy

@@ -79,7 +79,7 @@ TEST(ExploreGeneration, EpisodesCarryASchedulePerturbationAndABoundedScript) {
         EXPECT_NE(s.tie_break_seed, 0u) << "episodes must explore the schedule axis";
         EXPECT_LE(static_cast<int>(s.timeline.size()), config.grammar.max_fault_events);
         EXPECT_GT(s.deadline, 0) << "episodes must be time-bounded";
-        EXPECT_EQ(s.placement, fsnewtop::Placement::kFull)
+        EXPECT_EQ(s.placement, deploy::Placement::kFull)
             << "FS episodes need host faults expressible";
         for (std::size_t i = 1; i < s.timeline.size(); ++i) {
             EXPECT_LE(s.timeline[i - 1].at, s.timeline[i].at) << "chronological timeline";
@@ -324,7 +324,7 @@ TEST(ExploreSpec, RoundTripsEveryEventKind) {
     s.group_size = 4;
     s.seed = 1234567890123456789ULL;
     s.tie_break_seed = 42;
-    s.placement = fsnewtop::Placement::kFull;
+    s.placement = deploy::Placement::kFull;
     s.batch.max_requests = 8;
     s.deadline = 9 * kSecond;
     fs::FaultPlan plan;

@@ -7,11 +7,13 @@
 //  * all correct members install the view that excludes the faulty pair.
 #include <gtest/gtest.h>
 
-#include "fsnewtop/deployment.hpp"
+#include "deploy/fsnewtop.hpp"
 
 namespace failsig::fsnewtop {
 namespace {
 
+using deploy::FsNewTopDeployment;
+using deploy::Placement;
 using newtop::Delivery;
 using newtop::MemberId;
 using newtop::ServiceType;
@@ -42,7 +44,7 @@ struct Collector {
 class PlacementTest : public ::testing::TestWithParam<Placement> {};
 
 TEST_P(PlacementTest, SymmetricTotalOrderEndToEnd) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.placement = GetParam();
     FsNewTopDeployment d(opts);
@@ -74,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(Placements, PlacementTest,
                          });
 
 TEST(FsNewTop, GcReplicasStayIdentical) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -90,7 +92,7 @@ TEST(FsNewTop, GcReplicasStayIdentical) {
 }
 
 TEST(FsNewTop, AsymmetricTotalOrderEndToEnd) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 4;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -108,7 +110,7 @@ TEST(FsNewTop, ByzantineGcNodeIsDetectedAndExcluded) {
     // Corrupt the GC outputs on one node of member 2's pair. The pair must
     // fail-signal; the remaining members must install a view without member
     // 2; and nobody may deliver a corrupted message.
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -149,7 +151,7 @@ TEST(FsNewTop, CrashedPairNodeYieldsFailSignalNotSilence) {
     // Kill the LAN between member 1's pair nodes: the pair can no longer
     // self-check and must emit fail-signals; members 0 and 2 exclude it
     // deterministically — no timeout guessing involved.
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.placement = Placement::kFull;  // pair nodes are dedicated
     FsNewTopDeployment d(opts);
@@ -172,7 +174,7 @@ TEST(FsNewTop, DelaySurgeDoesNotSplitTheGroup) {
     // NewTopDeployment.FalseSuspicionSplitsGroupWithoutAnyFailure) is
     // harmless here: FS-NewTOP has no timeout-based suspector on the
     // asynchronous network, so suspicions cannot be false (§3.1).
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -199,7 +201,7 @@ TEST(FsNewTop, DelaySurgeDoesNotSplitTheGroup) {
 TEST(FsNewTop, SpontaneousFailSignalsExcludeTheirSourceOnly) {
     // fs2 at member 0: its pair emits fail-signals at arbitrary times. The
     // other members exclude member 0 but keep each other.
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -217,7 +219,7 @@ TEST(FsNewTop, SpontaneousFailSignalsExcludeTheirSourceOnly) {
 }
 
 TEST(FsNewTop, TotalOrderContinuesAmongSurvivors) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     FsNewTopDeployment d(opts);
     Collector c;
@@ -243,7 +245,7 @@ TEST(FsNewTop, TotalOrderContinuesAmongSurvivors) {
 
 TEST(FsNewTop, DeterministicAcrossRuns) {
     auto run_once = [] {
-        FsNewTopOptions opts;
+        deploy::DeploymentSpec opts;
         opts.group_size = 3;
         opts.seed = 99;
         FsNewTopDeployment d(opts);
@@ -260,7 +262,7 @@ TEST(FsNewTop, DeterministicAcrossRuns) {
 }
 
 TEST(FsNewTop, LargePayloadsSurviveTheFullStack) {
-    FsNewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 2;
     FsNewTopDeployment d(opts);
     std::vector<Bytes> got;

@@ -7,7 +7,7 @@
 
 #include <deque>
 
-#include "newtop/deployment.hpp"
+#include "deploy/newtop.hpp"
 
 namespace failsig::newtop {
 namespace {
@@ -655,9 +655,9 @@ TEST(ViewFlush, SurvivorCrashMidFlushReproposesWithHigherViewId) {
 // ---------------------------------------------------------------------------
 
 TEST(NewTopDeployment, SymmetricTotalOrderAcrossTheWire) {
-    NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 4;
-    NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
 
     std::vector<std::vector<std::string>> delivered(4);
     for (int i = 0; i < 4; ++i) {
@@ -679,19 +679,19 @@ TEST(NewTopDeployment, SymmetricTotalOrderAcrossTheWire) {
 }
 
 TEST(NewTopDeployment, CrashDetectionRemovesMemberFromView) {
-    NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.start_suspectors = true;
     opts.suspector.ping_interval = 50 * kMillisecond;
     opts.suspector.suspect_timeout = 300 * kMillisecond;
-    NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
 
     // "Crash" member 2 by cutting its node off the network.
     d.faults().block(d.node_of(2), d.node_of(0));
     d.faults().block(d.node_of(2), d.node_of(1));
 
     d.sim().run_until(3 * kSecond);
-    d.stop_suspectors();
+    d.stop_perpetual();
     d.sim().run();
 
     EXPECT_EQ(d.gc(0).view().members, (std::vector<MemberId>{0, 1}));
@@ -703,12 +703,12 @@ TEST(NewTopDeployment, FalseSuspicionSplitsGroupWithoutAnyFailure) {
     // The paper's motivating pathology: a delay surge (no crash!) makes the
     // timeout-based suspectors fire, and connected, operational processes
     // split into sub-groups.
-    NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 3;
     opts.start_suspectors = true;
     opts.suspector.ping_interval = 50 * kMillisecond;
     opts.suspector.suspect_timeout = 200 * kMillisecond;
-    NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
 
     d.sim().run_until(500 * kMillisecond);  // healthy phase
     EXPECT_EQ(d.gc(0).view().members, (std::vector<MemberId>{0, 1, 2}));
@@ -716,7 +716,7 @@ TEST(NewTopDeployment, FalseSuspicionSplitsGroupWithoutAnyFailure) {
     // Delay surge far above the suspect timeout, for 2 simulated seconds.
     d.faults().delay_surge(1 * kSecond, d.sim().now() + 2 * kSecond);
     d.sim().run_until(d.sim().now() + 5 * kSecond);
-    d.stop_suspectors();
+    d.stop_perpetual();
     d.sim().run();
 
     // At least one member no longer has the full view: the group split even
@@ -728,9 +728,9 @@ TEST(NewTopDeployment, FalseSuspicionSplitsGroupWithoutAnyFailure) {
 }
 
 TEST(NewTopDeployment, MessageSizeAffectsNothingButPayload) {
-    NewTopOptions opts;
+    deploy::DeploymentSpec opts;
     opts.group_size = 2;
-    NewTopDeployment d(opts);
+    deploy::NewTopDeployment d(opts);
     std::vector<Bytes> got;
     d.invocation(1).on_delivery([&](const Delivery& dl) { got.push_back(dl.payload); });
     const Bytes big(10000, 0xab);

@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
-#include "baseline/deployment.hpp"
 #include "baseline/pbft.hpp"
 #include "common/batch.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "deploy/pbft.hpp"
 #include "explore/explore.hpp"
 #include "explore/repro.hpp"
 #include "newtop/wire.hpp"
@@ -396,11 +396,16 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
     // 10k-request run must keep the per-replica slot map's high-water mark
     // under two checkpoint windows — the current open window plus whatever
     // the previous stable checkpoint had not yet truncated.
-    baseline::PbftOptions opts;
-    opts.replicas = 4;
+    deploy::DeploymentSpec opts;
+    opts.group_size = 4;
+    opts.threads_per_node = 10;
     opts.seed = 11;
     opts.checkpoint_interval = 100;
-    baseline::PbftDeployment d(opts);
+    deploy::PbftDeployment d(opts);
+    std::vector<std::uint64_t> delivered(4, 0);
+    d.on_delivery([&delivered](baseline::ReplicaId r, const baseline::PbftDelivery&) {
+        ++delivered.at(r);
+    });
 
     constexpr int kWaves = 100;
     constexpr int kPerWave = 100;  // paced at one checkpoint window per wave
@@ -412,9 +417,9 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
     }
 
     const std::uint64_t total = static_cast<std::uint64_t>(kWaves) * kPerWave;
-    for (baseline::ReplicaId r = 0; r < d.replica_count(); ++r) {
+    for (baseline::ReplicaId r = 0; r < 4; ++r) {
         const auto& rep = d.replica(r);
-        EXPECT_EQ(d.delivered(r).size(), total) << "replica " << int(r);
+        EXPECT_EQ(delivered[r], total) << "replica " << int(r);
         EXPECT_GT(rep.checkpoints_taken(), 0u) << "replica " << int(r);
         EXPECT_GT(rep.log_slots_truncated(), 0u) << "replica " << int(r);
         EXPECT_LT(rep.log_slots_retained(), 2 * opts.checkpoint_interval)
@@ -427,7 +432,7 @@ TEST(PbftLogBoundedness, TenThousandRequestsKeepTheSlotMapUnderTwoWindows) {
     // And the replicated app converged on every replica.
     const auto& app0 = d.replica(0).app();
     EXPECT_EQ(app0.applied(), total);
-    for (baseline::ReplicaId r = 1; r < d.replica_count(); ++r) {
+    for (baseline::ReplicaId r = 1; r < 4; ++r) {
         EXPECT_TRUE(d.replica(r).app().state_equals(app0)) << "replica " << int(r);
     }
 }
@@ -460,7 +465,7 @@ sc::Scenario recovery_scenario(sc::SystemKind system) {
         s.suspector.suspect_timeout = 300 * kMillisecond;
     }
     if (system == sc::SystemKind::kFsNewTop) {
-        s.placement = fsnewtop::Placement::kFull;  // host crashes need it
+        s.placement = deploy::Placement::kFull;  // host crashes need it
     }
     return s;
 }

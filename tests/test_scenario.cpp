@@ -167,7 +167,7 @@ TEST(ScenarioEngine, FsNewTopCrashNeedsFullPlacement) {
     s.deadline = 60 * kSecond;
     EXPECT_THROW(run_scenario(s), std::logic_error);
 
-    s.placement = fsnewtop::Placement::kFull;
+    s.placement = deploy::Placement::kFull;
     const auto report = run_scenario(s);
     EXPECT_GT(report.metrics.fail_signal_events, 0u)
         << "the crashed pair must announce itself instead of going silent";
