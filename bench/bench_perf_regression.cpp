@@ -122,6 +122,9 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     w.field("envelope_chain12_sign_ops_s", chain_ops);
     w.field("keyservice_verify_ops", cold.verify_ops());
     w.field("keyservice_verify_cache_hits", cold.verify_cache_hits());
+    // Informational (not in the gated baseline): the memo's byte budget
+    // should never evict in this section.
+    w.field("keyservice_memo_evictions", cold.memo_evictions());
     w.end_object();
     std::printf("crypto: rsa sign %.0f/s verify %.0f/s | link-MAC tag %.0f/s | "
                 "envelope memo-verify %.0f/s (real verifies: %llu, memo hits: %llu)\n",
@@ -599,7 +602,7 @@ int main(int argc, char** argv) {
     scenario::JsonWriter w;
     w.begin_object();
     w.field("format", "failsig-bench-v1");
-    w.field("pr", "PR4");
+    w.field("pr", "PR13");
     w.field("mode", smoke ? "smoke" : "full");
     w.field("seed", seed);
     bench_crypto(w, smoke, seed);

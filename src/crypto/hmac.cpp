@@ -1,17 +1,14 @@
 #include "crypto/hmac.hpp"
 
-#include "crypto/md5.hpp"
-#include "crypto/sha256.hpp"
+#include <algorithm>
 
 namespace failsig::crypto {
 
-namespace {
-
 template <typename Hasher>
-Bytes hmac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
+HmacKey<Hasher>::HmacKey(std::span<const std::uint8_t> key) {
     constexpr std::size_t kBlock = 64;  // both MD5 and SHA-256 use 64-byte blocks
 
-    Bytes k(kBlock, 0);
+    std::array<std::uint8_t, kBlock> k{};
     if (key.size() > kBlock) {
         const auto kd = Hasher::hash(key);
         std::copy(kd.begin(), kd.end(), k.begin());
@@ -19,32 +16,45 @@ Bytes hmac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data
         std::copy(key.begin(), key.end(), k.begin());
     }
 
-    Bytes ipad(kBlock), opad(kBlock);
+    std::array<std::uint8_t, kBlock> ipad{}, opad{};
     for (std::size_t i = 0; i < kBlock; ++i) {
         ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
         opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
     }
+    inner_.update(ipad);
+    outer_.update(opad);
+}
 
-    Hasher inner;
-    inner.update(ipad);
+template <typename Hasher>
+typename HmacKey<Hasher>::Tag HmacKey<Hasher>::tag(std::span<const std::uint8_t> data) const {
+    Hasher inner = inner_;
     inner.update(data);
     const auto inner_digest = inner.finish();
 
-    Hasher outer;
-    outer.update(opad);
-    outer.update(std::span(inner_digest.data(), inner_digest.size()));
-    const auto tag = outer.finish();
+    Hasher outer = outer_;
+    outer.update(inner_digest);
+    return outer.finish();
+}
+
+template class HmacKey<Sha256>;
+template class HmacKey<Md5>;
+
+namespace {
+
+template <typename Hasher>
+Bytes one_shot(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
+    const auto tag = HmacKey<Hasher>(key).tag(data);
     return Bytes(tag.begin(), tag.end());
 }
 
 }  // namespace
 
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    return hmac<Sha256>(key, data);
+    return one_shot<Sha256>(key, data);
 }
 
 Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    return hmac<Md5>(key, data);
+    return one_shot<Md5>(key, data);
 }
 
 }  // namespace failsig::crypto

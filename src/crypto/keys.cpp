@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
-#include "crypto/sha256.hpp"
 
 namespace failsig::crypto {
 
@@ -40,32 +39,47 @@ private:
 
 class HmacSigner final : public Signer {
 public:
-    HmacSigner(std::string principal, Bytes key)
-        : principal_(std::move(principal)), key_(std::move(key)) {}
+    HmacSigner(std::string principal, std::span<const std::uint8_t> key)
+        : principal_(std::move(principal)), key_(key) {}
 
     [[nodiscard]] Bytes sign(std::span<const std::uint8_t> message) const override {
-        return hmac_sha256(key_, message);
+        const auto tag = key_.tag(message);
+        return Bytes(tag.begin(), tag.end());
     }
     [[nodiscard]] const std::string& principal() const override { return principal_; }
 
 private:
     std::string principal_;
-    Bytes key_;
+    HmacSha256Key key_;
 };
 
 class HmacVerifier final : public Verifier {
 public:
-    explicit HmacVerifier(Bytes key) : key_(std::move(key)) {}
+    explicit HmacVerifier(std::span<const std::uint8_t> key) : key_(key) {}
 
     [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
                               std::span<const std::uint8_t> signature) const override {
-        const Bytes expected = hmac_sha256(key_, message);
-        return constant_time_equal(expected, signature);
+        return constant_time_equal(key_.tag(message), signature);
     }
 
 private:
-    Bytes key_;
+    HmacSha256Key key_;
 };
+
+// The memo key: length-prefixed message ++ length-prefixed signature (u32
+// little-endian lengths, as ByteWriter::bytes). The prefixes keep (m, s) and
+// (m', s') with m++s == m'++s' apart.
+std::string memo_key(std::span<const std::uint8_t> message,
+                     std::span<const std::uint8_t> signature) {
+    std::string key;
+    key.reserve(8 + message.size() + signature.size());
+    for (const auto part : {message, signature}) {
+        const auto len = static_cast<std::uint32_t>(part.size());
+        for (int i = 0; i < 4; ++i) key.push_back(static_cast<char>(len >> (8 * i)));
+        key.append(reinterpret_cast<const char*>(part.data()), part.size());
+    }
+    return key;
+}
 
 }  // namespace
 
@@ -92,11 +106,7 @@ void KeyService::register_principal(const std::string& name) {
     make_entry(name);
 }
 
-void KeyService::rotate_principal(const std::string& name) {
-    make_entry(name);
-    const std::lock_guard lock(memo_mu_);
-    memo_.erase(name);
-}
+void KeyService::rotate_principal(const std::string& name) { make_entry(name); }
 
 std::string KeyService::link_principal(const std::string& a, const std::string& b) {
     const auto& lo = std::min(a, b);
@@ -121,27 +131,43 @@ bool KeyService::verify_cached(const std::string& name, std::span<const std::uin
                                std::span<const std::uint8_t> signature) const {
     const auto it = entries_.find(name);
     if (it == entries_.end()) return false;
-    // Domain-separated digest of (message, signature): length prefix keeps
-    // (m, s) and (m', s') with m++s == m'++s' from colliding.
-    ByteWriter w;
-    w.reserve(12 + message.size() + signature.size());
-    w.bytes(message);
-    w.bytes(signature);
-    const std::string digest = to_hex(sha256(w.view()));
+    const Entry& entry = it->second;
+    std::string key = memo_key(message, signature);
     {
         const std::lock_guard lock(memo_mu_);
-        const auto& per_principal = memo_[name];
-        const auto hit = per_principal.find(digest);
-        if (hit != per_principal.end()) {
+        const auto hit = entry.memo.verdicts.find(key);
+        if (hit != entry.memo.verdicts.end()) {
             ++verify_cache_hits_;
             return hit->second;
         }
         ++verify_ops_;
     }
-    const bool ok = it->second.verifier->verify(message, signature);
+    const bool ok = entry.verifier->verify(message, signature);
     const std::lock_guard lock(memo_mu_);
-    memo_[name].emplace(digest, ok);
+    remember(entry.memo, std::move(key), ok);
     return ok;
+}
+
+void KeyService::remember(Memo& memo, std::string key, bool ok) const {
+    // A racing thread may have verified and stored the same pair meanwhile;
+    // a pair larger than the whole budget is never stored.
+    if (key.size() > kMemoBudgetBytes || memo.verdicts.contains(key)) return;
+    while (memo.bytes + key.size() > kMemoBudgetBytes) {
+        memo.bytes -= memo.keys.front().size();
+        memo.verdicts.erase(memo.keys.front());
+        memo.keys.pop_front();
+        ++memo_evictions_;
+    }
+    memo.bytes += key.size();
+    memo.keys.push_back(std::move(key));
+    memo.verdicts.emplace(memo.keys.back(), ok);
+}
+
+std::size_t KeyService::memo_bytes(const std::string& name) const {
+    const auto it = entries_.find(name);
+    if (it == entries_.end()) return 0;
+    const std::lock_guard lock(memo_mu_);
+    return it->second.memo.bytes;
 }
 
 const Signer& KeyService::signer(const std::string& name) const {

@@ -11,9 +11,11 @@
 //            RSA's CPU cost is charged in *simulated* time by the cost model.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
@@ -51,9 +53,10 @@ public:
     /// Creates keys for `name`; idempotent.
     void register_principal(const std::string& name);
 
-    /// Regenerates `name`'s key material (epoch change / compromise) and
-    /// drops every memoized verify verdict for the principal — a signature
-    /// that verified under the old key must be re-checked under the new one.
+    /// Regenerates `name`'s key material (epoch change / compromise). The
+    /// fresh entry starts with an empty memo, so every verdict memoized for
+    /// the principal is dropped — a signature that verified under the old
+    /// key must be re-checked under the new one.
     void rotate_principal(const std::string& name);
 
     /// Registers a pairwise HMAC session key shared by exactly {a, b},
@@ -69,21 +72,29 @@ public:
     [[nodiscard]] const Verifier& verifier(const std::string& name) const;
     [[nodiscard]] bool has_principal(const std::string& name) const;
 
-    /// Verifies through a digest-keyed memo: a (principal, message,
-    /// signature) triple that already verified costs one hash instead of a
-    /// public-key operation. This is what makes relaying a double-signed
-    /// envelope O(1) RSA verifies per (principal, digest) across all hops.
-    /// Thread-safe: the memo and the counters are guarded (every executor
-    /// thread of a TCP deployment shares one KeyService); the verifier
-    /// itself runs outside the lock.
+    /// Verifies through a per-principal memo keyed on the (message,
+    /// signature) bytes themselves: a pair that was already checked costs a
+    /// hash-table lookup and one byte comparison instead of a verifier call,
+    /// so a relayed double-signed envelope is verified once per principal,
+    /// not once per hop. A hit requires the whole pair to be byte-equal to
+    /// the stored one; negative verdicts are memoized too. Each principal's
+    /// memo holds at most kMemoBudgetBytes of pairs and evicts the oldest
+    /// first — an evicted pair is simply verified again. Unknown principals
+    /// verify false. Thread-safe: the memo and the counters are guarded
+    /// (every executor thread of a TCP deployment shares one KeyService);
+    /// the memo key is built and the verifier runs outside the lock.
     [[nodiscard]] bool verify_cached(const std::string& name,
                                      std::span<const std::uint8_t> message,
                                      std::span<const std::uint8_t> signature) const;
 
+    /// Per-principal memo budget, in bytes of memoized (message, signature)
+    /// pairs. Sized so no gated bench cell ever evicts.
+    static constexpr std::size_t kMemoBudgetBytes = 64 * 1024;
+
     [[nodiscard]] Backend backend() const { return backend_; }
 
-    /// Real verifier invocations (memo misses) and memo hits, for the
-    /// perf-regression bench.
+    /// Real verifier invocations (memo misses), memo hits and memo
+    /// evictions, for the perf-regression bench.
     [[nodiscard]] std::uint64_t verify_ops() const {
         const std::lock_guard lock(memo_mu_);
         return verify_ops_;
@@ -92,25 +103,47 @@ public:
         const std::lock_guard lock(memo_mu_);
         return verify_cache_hits_;
     }
+    [[nodiscard]] std::uint64_t memo_evictions() const {
+        const std::lock_guard lock(memo_mu_);
+        return memo_evictions_;
+    }
+    /// Bytes currently memoized for `name` (0 for an unknown principal);
+    /// never above kMemoBudgetBytes.
+    [[nodiscard]] std::size_t memo_bytes(const std::string& name) const;
 
 private:
+    /// Verdicts for one principal, oldest first. `verdicts` views the key
+    /// strings owned by `keys`; a deque never moves its elements on
+    /// push_back/pop_front, so the views stay valid until their key is
+    /// evicted.
+    struct Memo {
+        std::deque<std::string> keys;
+        std::unordered_map<std::string_view, bool> verdicts;
+        std::size_t bytes{0};
+    };
+
     struct Entry {
         std::unique_ptr<Signer> signer;
         std::unique_ptr<Verifier> verifier;
+        /// Guarded by memo_mu_; replacing the Entry (rotation) drops it.
+        mutable Memo memo;
     };
 
     void make_entry(const std::string& name);
+    /// Stores `key -> ok` unless already present, evicting the oldest pairs
+    /// to stay within kMemoBudgetBytes. Caller holds memo_mu_.
+    void remember(Memo& memo, std::string key, bool ok) const;
 
     Backend backend_;
     std::size_t rsa_bits_;
     Rng rng_;
     std::unordered_map<std::string, Entry> entries_;
-    /// Guards memo_, verify_ops_ and verify_cache_hits_.
+    /// Guards every Entry::memo, verify_ops_, verify_cache_hits_ and
+    /// memo_evictions_.
     mutable std::mutex memo_mu_;
-    /// principal -> digest(message, signature) -> verdict.
-    mutable std::unordered_map<std::string, std::unordered_map<std::string, bool>> memo_;
     mutable std::uint64_t verify_ops_{0};
     mutable std::uint64_t verify_cache_hits_{0};
+    mutable std::uint64_t memo_evictions_{0};
 };
 
 }  // namespace failsig::crypto

@@ -96,16 +96,22 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
+    // Padding in place: 0x80, zero fill, then the 64-bit big-endian bit
+    // length in the last 8 bytes — spilling into a second block when fewer
+    // than 9 bytes are left in this one.
     const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad_byte = 0x80;
-    update(std::span(&pad_byte, 1));
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) update(std::span(&zero, 1));
-    std::uint8_t len_bytes[8];
-    for (int i = 0; i < 8; ++i) {
-        len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));  // big-endian
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > 56) {
+        std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+        process_block(buffer_);
+        buffer_len_ = 0;
     }
-    update(std::span(len_bytes, 8));
+    std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+    }
+    process_block(buffer_);
+    buffer_len_ = 0;
 
     std::array<std::uint8_t, kDigestSize> out{};
     for (int i = 0; i < 8; ++i) {

@@ -1,11 +1,12 @@
 // Unit tests for the crypto substrate: digests against published test
 // vectors, bignum arithmetic properties, RSA round-trips and tamper
 // rejection, HMAC vectors, signed-envelope chains, and the verify memo
-// under concurrent callers.
+// (byte-equal hits, its byte budget and eviction) under concurrent callers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -120,6 +121,26 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     EXPECT_EQ(to_hex(Bytes(digest.begin(), digest.end())), to_hex(sha256(data)));
 }
 
+TEST(Sha256, PaddingAroundTheLengthField) {
+    // finish() writes the padding in place; these lengths put the 0x80 byte
+    // just before, on, and just past the 8-byte length field, and at the
+    // start of a fresh block (digests from an independent implementation).
+    const std::pair<std::size_t, const char*> cases[] = {
+        {55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"},
+        {56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"},
+        {57, "35df609437dcfea3279283ab79fd554e2bf78f8f7ae2de532d8ee300b09e8f73"},
+        {63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"},
+        {64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"},
+        {119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"},
+        {120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"},
+    };
+    for (const auto& [len, want] : cases) {
+        Bytes data(len);
+        for (std::size_t i = 0; i < len; ++i) data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+        EXPECT_EQ(to_hex(sha256(data)), want) << "length " << len;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // HMAC (RFC 4231 / RFC 2202 vectors)
 // ---------------------------------------------------------------------------
@@ -144,6 +165,20 @@ TEST(Hmac, Sha256LongKeyIsHashedFirst) {
 TEST(Hmac, Md5Rfc2202Case1) {
     const Bytes key(16, 0x0b);
     EXPECT_EQ(to_hex(hmac_md5(key, B("Hi There"))), "9294727a3638bb1c13f48ef8158bfc9d");
+}
+
+TEST(Hmac, PrecomputedKeyIsReusable) {
+    // One HmacSha256Key tags many messages: tag() copies the absorbed pad
+    // states and never disturbs them.
+    const Bytes raw(20, 0x0b);
+    const HmacSha256Key key(raw);
+    for (int i = 0; i < 3; ++i) {
+        const auto tag = key.tag(B("Hi There"));
+        EXPECT_EQ(to_hex(Bytes(tag.begin(), tag.end())),
+                  "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+        const auto other = key.tag(B("other"));
+        EXPECT_EQ(Bytes(other.begin(), other.end()), hmac_sha256(raw, B("other")));
+    }
 }
 
 TEST(Hmac, DifferentKeysDifferentTags) {
@@ -494,6 +529,138 @@ TEST(KeyService, VerifyCachedIsSafeAcrossThreads) {
     // thread (concurrent first misses may both run the verifier).
     EXPECT_GE(keys.verify_ops(), 2ULL * kMessages);
     EXPECT_LE(keys.verify_ops(), 2ULL * kMessages * kThreads);
+}
+
+// A pair whose memo key is `len` bytes: 8 bytes of length prefixes, a
+// 32-byte HMAC tag and the message.
+Bytes message_of_key_size(std::size_t len, std::uint32_t tag) {
+    Bytes msg(len - 8 - 32, 0);
+    for (std::size_t i = 0; i < 4; ++i) msg[i] = static_cast<std::uint8_t>(tag >> (8 * i));
+    return msg;
+}
+
+TEST(KeyService, MemoHitNeedsByteEqualMessageAndSignature) {
+    // A memoized (m, s) must not answer for (m', s) or (m, s') that differ
+    // in one byte at equal length: the verifier runs again and rejects.
+    KeyService keys(KeyService::Backend::kHmac, 512, 6);
+    keys.register_principal("A");
+    const Bytes msg = B("memo key must be the bytes, not a hash of them");
+    const Bytes sig = keys.signer("A").sign(msg);
+    ASSERT_TRUE(keys.verify_cached("A", msg, sig));
+    ASSERT_TRUE(keys.verify_cached("A", msg, sig));
+
+    Bytes msg2 = msg;
+    msg2[msg2.size() / 2] ^= 0x01;
+    auto ops = keys.verify_ops();
+    EXPECT_FALSE(keys.verify_cached("A", msg2, sig));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+
+    Bytes sig2 = sig;
+    sig2.back() ^= 0x80;
+    ops = keys.verify_ops();
+    EXPECT_FALSE(keys.verify_cached("A", msg, sig2));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+}
+
+TEST(KeyService, MemoStaysWithinItsBudgetAndEvictsOldestFirst) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 7);
+    keys.register_principal("A");
+    keys.register_principal("B");
+    constexpr std::size_t kKey = 1024;
+    constexpr std::size_t kFit = KeyService::kMemoBudgetBytes / kKey;
+
+    // One genuine and one forged pair, memoized first so they are the
+    // oldest and go first.
+    const Bytes good = message_of_key_size(kKey, 0xffffffffu);
+    const Bytes good_sig = keys.signer("A").sign(good);
+    const Bytes forged_sig = keys.signer("B").sign(good);
+    ASSERT_TRUE(keys.verify_cached("A", good, good_sig));
+    ASSERT_FALSE(keys.verify_cached("A", good, forged_sig));
+    EXPECT_EQ(keys.memo_bytes("A"), 2 * kKey);
+
+    // Fill well past the budget under the one principal.
+    for (std::size_t i = 0; i < 3 * kFit; ++i) {
+        const Bytes msg = message_of_key_size(kKey, static_cast<std::uint32_t>(i));
+        ASSERT_TRUE(keys.verify_cached("A", msg, keys.signer("A").sign(msg)));
+        ASSERT_LE(keys.memo_bytes("A"), KeyService::kMemoBudgetBytes);
+    }
+    EXPECT_EQ(keys.memo_bytes("A"), kFit * kKey);
+    EXPECT_EQ(keys.memo_evictions(), 2 + 2 * kFit);
+    EXPECT_EQ(keys.memo_bytes("B"), 0u);
+    EXPECT_EQ(keys.memo_bytes("ghost"), 0u);
+
+    // The two evicted pairs are verified again and keep their verdicts.
+    auto ops = keys.verify_ops();
+    EXPECT_TRUE(keys.verify_cached("A", good, good_sig));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+    ops = keys.verify_ops();
+    EXPECT_FALSE(keys.verify_cached("A", good, forged_sig));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+    // ...and are memoized again.
+    EXPECT_TRUE(keys.verify_cached("A", good, good_sig));
+    EXPECT_FALSE(keys.verify_cached("A", good, forged_sig));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+    EXPECT_LE(keys.memo_bytes("A"), KeyService::kMemoBudgetBytes);
+}
+
+TEST(KeyService, PairLargerThanTheBudgetIsVerifiedButNotMemoized) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 8);
+    keys.register_principal("A");
+    const Bytes huge = message_of_key_size(KeyService::kMemoBudgetBytes + 1, 0);
+    const Bytes sig = keys.signer("A").sign(huge);
+    EXPECT_TRUE(keys.verify_cached("A", huge, sig));
+    EXPECT_TRUE(keys.verify_cached("A", huge, sig));
+    EXPECT_EQ(keys.verify_ops(), 2u);
+    EXPECT_EQ(keys.memo_bytes("A"), 0u);
+    EXPECT_EQ(keys.memo_evictions(), 0u);
+}
+
+TEST(KeyService, VerifyCachedEvictsSafelyAcrossThreads) {
+    // The eviction path under contention: four threads verify a key set
+    // twice the budget, so inserts and evictions interleave with lookups.
+    // Build with -DFAILSIG_SANITIZE=thread to have a data race reported here.
+    KeyService keys(KeyService::Backend::kHmac, 512, 9);
+    keys.register_principal("GC:0");
+    constexpr int kThreads = 4;
+    constexpr std::size_t kKey = 1024;
+    constexpr int kMessages = static_cast<int>(2 * KeyService::kMemoBudgetBytes / kKey);
+    constexpr int kRounds = 3;
+    std::vector<Bytes> msgs;
+    std::vector<Bytes> sigs;
+    for (int i = 0; i < kMessages; ++i) {
+        msgs.push_back(message_of_key_size(kKey, static_cast<std::uint32_t>(i)));
+        sigs.push_back(keys.signer("GC:0").sign(msgs.back()));
+    }
+
+    std::atomic<int> wrong{0};
+    std::atomic<std::size_t> max_bytes{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                for (int i = 0; i < kMessages; ++i) {
+                    const auto m = static_cast<std::size_t>((i + 32 * t) % kMessages);
+                    const auto other = (m + 1) % kMessages;
+                    if (!keys.verify_cached("GC:0", msgs[m], sigs[m])) ++wrong;
+                    if (keys.verify_cached("GC:0", msgs[m], sigs[other])) ++wrong;
+                    const std::size_t bytes = keys.memo_bytes("GC:0");
+                    std::size_t seen = max_bytes.load();
+                    while (bytes > seen && !max_bytes.compare_exchange_weak(seen, bytes)) {
+                    }
+                }
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    const std::uint64_t calls = 2ULL * kThreads * kRounds * kMessages;
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(), calls);
+    EXPECT_GT(keys.memo_evictions(), 0u);
+    EXPECT_LE(max_bytes.load(), KeyService::kMemoBudgetBytes);
+    EXPECT_LE(keys.memo_bytes("GC:0"), KeyService::kMemoBudgetBytes);
 }
 
 TEST(SignedEnvelope, DoubleSignedValidation) {
