@@ -13,9 +13,10 @@
 // section: the open-loop load generator pointed at the TCP backend, giving
 // wall-clock localhost throughput/latency for all three stacks.
 //
-// Output is BENCH_<PR>.json in the failsig-bench-v1 schema (documented in
-// EXPERIMENTS.md). Every later PR appends its own BENCH_*.json next to this
-// baseline so regressions are visible as a file diff in review. CI runs
+// Output is a failsig-bench-v1 report (schema in EXPERIMENTS.md) written to
+// --out, by default the untracked bench_report.json. Each perf-relevant PR
+// checks in a full-mode run as BENCH_PR<N>.json at the repo root, so
+// regressions are visible as a file diff in review. CI runs
 // `--smoke` on every push and gates the deterministic counters against the
 // checked-in smoke baseline with bench/compare_bench.py; timing fields stay
 // informational — absolute numbers are machine-dependent, the counters are
@@ -28,6 +29,7 @@
 
 #include "crypto/envelope.hpp"
 #include "crypto/keys.hpp"
+#include "crypto/sha256.hpp"
 #include "deploy/deployment.hpp"
 #include "net/network.hpp"
 #include "orb/orb.hpp"
@@ -61,6 +63,7 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     const int sign_iters = smoke ? 20 : 200;
     const int verify_iters = smoke ? 50 : 500;
     const int mac_iters = smoke ? 2000 : 20000;
+    const int sha_iters = smoke ? 2000 : 20000;
 
     crypto::KeyService keys(crypto::KeyService::Backend::kRsa, 512, seed);
     keys.register_principal("A");
@@ -109,8 +112,15 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
         }
     });
 
+    // The SHA-256 compression kernel underneath every HMAC: which one this
+    // CPU runs, and what it does on a 1 KiB message.
+    const Bytes kib(1024, 0x5a);
+    const double sha_ops = timed(sha_iters, [&] { (void)crypto::Sha256::hash(kib); }).second;
+
     w.key("crypto");
     w.begin_object();
+    w.field("sha256_kernel", crypto::Sha256::kernel_name());
+    w.field("sha256_1k_ops_s", sha_ops);
     w.field("rsa_bits", 512);
     w.field("rsa_sign_ops_s", sign_ops);
     w.field("rsa_verify_ops_s", verify_ops_s);
@@ -126,9 +136,10 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     // should never evict in this section.
     w.field("keyservice_memo_evictions", cold.memo_evictions());
     w.end_object();
-    std::printf("crypto: rsa sign %.0f/s verify %.0f/s | link-MAC tag %.0f/s | "
-                "envelope memo-verify %.0f/s (real verifies: %llu, memo hits: %llu)\n",
-                sign_ops, verify_ops_s, mac_ops, memo_ops,
+    std::printf("crypto: sha256 kernel %s, 1 KiB hash %.0f/s | rsa sign %.0f/s verify %.0f/s | "
+                "link-MAC tag %.0f/s | envelope memo-verify %.0f/s (real verifies: %llu, "
+                "memo hits: %llu)\n",
+                crypto::Sha256::kernel_name(), sha_ops, sign_ops, verify_ops_s, mac_ops, memo_ops,
                 static_cast<unsigned long long>(cold.verify_ops()),
                 static_cast<unsigned long long>(cold.verify_cache_hits()));
     (void)sign_ms;
@@ -573,7 +584,7 @@ void bench_obs(scenario::JsonWriter& w, bool smoke, std::uint64_t seed,
 int main(int argc, char** argv) {
     bool smoke = false;
     std::uint64_t seed = 42;
-    std::string out_path = "BENCH_PR4.json";
+    std::string out_path = "bench_report.json";
     std::string metrics_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -587,8 +598,11 @@ int main(int argc, char** argv) {
             metrics_out = argv[++i];
         } else if (arg == "--help") {
             std::printf("usage: bench_perf_regression [--smoke] [--seed N] [--out PATH]\n"
-                        "       [--metrics-out PATH]  write the obs cell's\n"
-                        "       failsig-metrics-v1 snapshot to PATH\n");
+                        "       [--metrics-out PATH]\n"
+                        "  --out PATH          write the bench report to PATH\n"
+                        "                      (default: bench_report.json)\n"
+                        "  --metrics-out PATH  write the obs cell's\n"
+                        "                      failsig-metrics-v1 snapshot to PATH\n");
             return 0;
         } else {
             std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -602,7 +616,7 @@ int main(int argc, char** argv) {
     scenario::JsonWriter w;
     w.begin_object();
     w.field("format", "failsig-bench-v1");
-    w.field("pr", "PR13");
+    w.field("pr", "PR14");
     w.field("mode", smoke ? "smoke" : "full");
     w.field("seed", seed);
     bench_crypto(w, smoke, seed);

@@ -3,6 +3,14 @@
 #include <cmath>
 #include <cstring>
 
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define FAILSIG_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace failsig::crypto {
 
 namespace {
@@ -63,6 +71,150 @@ std::uint32_t rotr(std::uint32_t x, int c) { return (x >> c) | (x << (32 - c)); 
 
 }  // namespace
 
+namespace detail {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+    const auto& k = k_table();
+    for (; n > 0; --n, blocks += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) {
+            w[i] = (static_cast<std::uint32_t>(blocks[i * 4]) << 24) |
+                   (static_cast<std::uint32_t>(blocks[i * 4 + 1]) << 16) |
+                   (static_cast<std::uint32_t>(blocks[i * 4 + 2]) << 8) |
+                   static_cast<std::uint32_t>(blocks[i * 4 + 3]);
+        }
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t t1 = h + s1 + ch + k[static_cast<std::size_t>(i)] + w[i];
+            const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t t2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + t1;
+            d = c;
+            c = b;
+            b = a;
+            a = t1 + t2;
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+#ifdef FAILSIG_SHA256_X86
+
+bool shani_available() {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    const bool sse41 = (ecx & (1u << 19)) != 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    const bool sha = (ebx & (1u << 29)) != 0;
+    return sse41 && sha;
+}
+
+// SHA-256 with the x86 SHA extensions. The state lives in two registers in
+// the order sha256rnds2 wants (ABEF and CDGH); each sha256rnds2 does two
+// rounds, so a group of four message words takes two of them. The message
+// schedule rolls through four registers: sha256msg1 and sha256msg2 build the
+// words of group g + 1 from groups g - 3 .. g. The 16-group loop is fully
+// unrolled, which turns `m[g % 4]` into fixed registers.
+__attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t* state,
+                                                          const std::uint8_t* blocks,
+                                                          std::size_t n) {
+    const auto* k = reinterpret_cast<const __m128i*>(k_table().data());
+    // Byte-swaps each 32-bit word: message words are big-endian.
+    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+    // Lanes are listed highest first. state[0..7] = A..H becomes
+    // abef = {A, B, E, F} and cdgh = {C, D, G, H}.
+    __m128i tmp = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)),
+                                    0xB1);  // {C, D, A, B}
+    __m128i cdgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);  // {E, F, G, H}
+    __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+    cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+    for (; n > 0; --n, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i m[4];
+#pragma GCC unroll 16
+        for (int g = 0; g < 16; ++g) {
+            if (g < 4) {
+                m[g] = _mm_shuffle_epi8(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)), bswap);
+            }
+            __m128i wk = _mm_add_epi32(m[g % 4], _mm_loadu_si128(k + g));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            if (g >= 3 && g < 15) {
+                __m128i& next = m[(g + 1) % 4];
+                next = _mm_add_epi32(next, _mm_alignr_epi8(m[g % 4], m[(g + 3) % 4], 4));
+                next = _mm_sha256msg2_epu32(next, m[g % 4]);
+            }
+            wk = _mm_shuffle_epi32(wk, 0x0E);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+            if (g >= 1 && g < 13) {
+                m[(g + 3) % 4] = _mm_sha256msg1_epu32(m[(g + 3) % 4], m[g % 4]);
+            }
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    tmp = _mm_shuffle_epi32(abef, 0x1B);   // {F, E, B, A}
+    cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // {D, C, H, G}
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                     _mm_blend_epi16(tmp, cdgh, 0xF0));  // {D, C, B, A}
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                     _mm_alignr_epi8(cdgh, tmp, 8));  // {H, G, F, E}
+}
+
+#else
+
+bool shani_available() { return false; }
+
+// Never called: shani_available() is false off x86. Defined so the kernel
+// tests link everywhere; they skip the SHA-NI half on such hosts.
+void compress_shani(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+    compress_portable(state, blocks, n);
+}
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+// The kernel for this process, chosen on first use. A function-local static,
+// so no static initializer can run a hash before the choice is made.
+detail::CompressFn kernel() {
+    static const detail::CompressFn chosen =
+        detail::shani_available() ? detail::compress_shani : detail::compress_portable;
+    return chosen;
+}
+
+}  // namespace
+
 Sha256::Sha256() { reset(); }
 
 void Sha256::reset() {
@@ -81,13 +233,16 @@ void Sha256::update(std::span<const std::uint8_t> data) {
         buffer_len_ += take;
         offset = take;
         if (buffer_len_ == 64) {
-            process_block(buffer_);
+            compress(buffer_, 1);
             buffer_len_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        process_block(data.data() + offset);
-        offset += 64;
+    // Every whole block left goes to the kernel in one call, so a SIMD kernel
+    // loads and stores the state once per run rather than once per block.
+    const std::size_t blocks = (data.size() - offset) / 64;
+    if (blocks > 0) {
+        compress(data.data() + offset, blocks);
+        offset += blocks * 64;
     }
     if (offset < data.size()) {
         std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -103,14 +258,14 @@ std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
     buffer_[buffer_len_++] = 0x80;
     if (buffer_len_ > 56) {
         std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
-        process_block(buffer_);
+        compress(buffer_, 1);
         buffer_len_ = 0;
     }
     std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
     for (int i = 0; i < 8; ++i) {
         buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
     }
-    process_block(buffer_);
+    compress(buffer_, 1);
     buffer_len_ = 0;
 
     std::array<std::uint8_t, kDigestSize> out{};
@@ -123,49 +278,10 @@ std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finish() {
     return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-               (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-               static_cast<std::uint32_t>(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
+void Sha256::compress(const std::uint8_t* blocks, std::size_t n) { kernel()(state_, blocks, n); }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-    const auto& k = k_table();
-
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t t1 = h + s1 + ch + k[static_cast<std::size_t>(i)] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+const char* Sha256::kernel_name() {
+    return kernel() == detail::compress_portable ? "portable" : "sha-ni";
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::hash(std::span<const std::uint8_t> data) {

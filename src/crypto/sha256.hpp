@@ -23,8 +23,14 @@ public:
 
     static std::array<std::uint8_t, kDigestSize> hash(std::span<const std::uint8_t> data);
 
+    /// The compression kernel this process uses: "sha-ni" when the CPU has
+    /// the x86 SHA extensions and SSE4.1, "portable" otherwise. Chosen once,
+    /// from CPUID, on first use.
+    static const char* kernel_name();
+
 private:
-    void process_block(const std::uint8_t* block);
+    /// Compresses `n` consecutive 64-byte blocks into the state.
+    void compress(const std::uint8_t* blocks, std::size_t n);
 
     std::uint32_t state_[8];
     std::uint64_t total_len_{0};

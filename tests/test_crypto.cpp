@@ -4,7 +4,10 @@
 // (byte-equal hits, its byte budget and eviction) under concurrent callers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "crypto/md5.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 
 namespace failsig::crypto {
 namespace {
@@ -184,6 +188,136 @@ TEST(Hmac, PrecomputedKeyIsReusable) {
 TEST(Hmac, DifferentKeysDifferentTags) {
     const Bytes k1(32, 0x01), k2(32, 0x02);
     EXPECT_NE(to_hex(hmac_sha256(k1, B("m"))), to_hex(hmac_sha256(k2, B("m"))));
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 compression kernels, each run directly
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// SHA-256 of `data` through one kernel, with the FIPS 180-4 padding written
+// out here rather than taken from Sha256::finish.
+Bytes digest_with(detail::CompressFn compress, std::span<const std::uint8_t> data) {
+    Bytes padded(data.begin(), data.end());
+    padded.push_back(0x80);
+    while (padded.size() % 64 != 56) padded.push_back(0);
+    const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+    for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+
+    std::uint32_t state[8];
+    std::copy(std::begin(kSha256Iv), std::end(kSha256Iv), state);
+    compress(state, padded.data(), padded.size() / 64);
+
+    Bytes out;
+    for (const std::uint32_t word : state) {
+        for (int shift = 24; shift >= 0; shift -= 8) {
+            out.push_back(static_cast<std::uint8_t>(word >> shift));
+        }
+    }
+    return out;
+}
+
+// HMAC-SHA256 (RFC 2104) through one kernel.
+Bytes hmac_with(detail::CompressFn compress, Bytes key, std::span<const std::uint8_t> data) {
+    if (key.size() > 64) key = digest_with(compress, key);
+    key.resize(64, 0);
+    Bytes inner(key), outer(key);
+    for (auto& b : inner) b ^= 0x36;
+    for (auto& b : outer) b ^= 0x5c;
+    inner.insert(inner.end(), data.begin(), data.end());
+    const Bytes inner_digest = digest_with(compress, inner);
+    outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+    return digest_with(compress, outer);
+}
+
+// Parameterized on the kernel's name; the SHA-NI instance skips on hosts
+// without the SHA extensions.
+class Sha256Kernel : public ::testing::TestWithParam<std::string> {
+protected:
+    void SetUp() override {
+        if (GetParam() == "sha-ni" && !detail::shani_available()) {
+            GTEST_SKIP() << "this CPU lacks the SHA extensions or SSE4.1";
+        }
+    }
+
+    detail::CompressFn kernel() const {
+        return GetParam() == "sha-ni" ? detail::compress_shani : detail::compress_portable;
+    }
+};
+
+TEST_P(Sha256Kernel, Fips180Vectors) {
+    EXPECT_EQ(to_hex(digest_with(kernel(), B(""))),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(to_hex(digest_with(kernel(), B("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(to_hex(digest_with(kernel(),
+                                 B("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(to_hex(digest_with(kernel(), Bytes(1000000, 0x61))),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256Kernel, Rfc4231Vectors) {
+    EXPECT_EQ(to_hex(hmac_with(kernel(), Bytes(20, 0x0b), B("Hi There"))),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    EXPECT_EQ(to_hex(hmac_with(kernel(), B("Jefe"), B("what do ya want for nothing?"))),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    EXPECT_EQ(to_hex(hmac_with(kernel(), Bytes(131, 0xaa),
+                               B("Test Using Larger Than Block-Size Key - Hash Key First"))),
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Kernel, ::testing::Values("portable", "sha-ni"),
+                         [](const auto& info) {
+                             return info.param == "sha-ni" ? std::string("ShaNi")
+                                                           : std::string("Portable");
+                         });
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomStatesAndRuns) {
+    if (!detail::shani_available()) {
+        GTEST_SKIP() << "this CPU lacks the SHA extensions or SSE4.1";
+    }
+    Rng rng(2024);
+    Bytes buffer(8 * 64 + 15);
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::uint32_t start[8];
+        for (auto& word : start) word = static_cast<std::uint32_t>(rng.next());
+        for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+        const std::size_t blocks = 1 + rng.uniform(8);
+        // Misaligned starts too: the SIMD kernel must not assume alignment.
+        const std::uint8_t* data = buffer.data() + rng.uniform(16);
+
+        std::uint32_t portable[8], shani[8];
+        std::copy(std::begin(start), std::end(start), portable);
+        std::copy(std::begin(start), std::end(start), shani);
+        detail::compress_portable(portable, data, blocks);
+        detail::compress_shani(shani, data, blocks);
+        ASSERT_TRUE(std::equal(std::begin(portable), std::end(portable), std::begin(shani)))
+            << "trial " << trial << ", " << blocks << " block(s)";
+    }
+}
+
+TEST(Sha256Kernels, KernelNameMatchesTheCpu) {
+    EXPECT_STREQ(Sha256::kernel_name(), detail::shani_available() ? "sha-ni" : "portable");
+}
+
+TEST(Sha256, EverySplitOfAnUpdateMatchesTheOneShotDigest) {
+    // update() hands each contiguous run of whole blocks to the kernel in one
+    // call; a split anywhere must leave the digest unchanged.
+    Bytes data(300);
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    for (std::size_t len = 1; len <= data.size(); ++len) {
+        const auto message = std::span<const std::uint8_t>(data).first(len);
+        const auto one_shot = Sha256::hash(message);
+        for (std::size_t split = 0; split <= len; ++split) {
+            Sha256 h;
+            h.update(message.first(split));
+            h.update(message.subspan(split));
+            ASSERT_EQ(h.finish(), one_shot) << "length " << len << ", split at " << split;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
