@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
         std::printf("%-8d", groups[g]);
         for (std::size_t p = 0; p < pools.size(); ++p) {
-            const auto r = to_result(reports[g * pools.size() + p]);
+            const auto& r = reports[g * pools.size() + p].metrics;
             std::printf(" %-15.1f", r.throughput_msg_s);
         }
         std::printf("\n");

@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
     std::size_t next = 0;
     for (const int n : groups) {
         for (const auto svc : services) {
-            const auto newtop = to_result(reports[next++]);
-            const auto fsnewtop = to_result(reports[next++]);
+            const auto& newtop = reports[next++].metrics;
+            const auto& fsnewtop = reports[next++].metrics;
 
             const double per_multicast_newtop =
                 static_cast<double>(newtop.network_messages) / (static_cast<double>(msgs) * n);

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
                 "gap(ms)", "overhead");
     for (std::size_t g = 0; g < groups.size(); ++g) {
         const int n = groups[g];
-        const auto newtop = to_result(reports[2 * g]);
-        const auto fsnewtop = to_result(reports[2 * g + 1]);
+        const auto& newtop = reports[2 * g].metrics;
+        const auto& fsnewtop = reports[2 * g + 1].metrics;
 
         const double gap = fsnewtop.mean_latency_ms - newtop.mean_latency_ms;
         const double overhead = newtop.mean_latency_ms > 0

@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const int n = groups[g];
             const std::size_t row = 2 * (bi * groups.size() + g);
-            const auto newtop = to_result(reports[row]);
-            const auto fsnewtop = to_result(reports[row + 1]);
+            const auto& newtop = reports[row].metrics;
+            const auto& fsnewtop = reports[row + 1].metrics;
 
             const double overhead =
                 fsnewtop.throughput_msg_s > 0

@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
     std::printf("%-10s %-18s %-18s %-14s\n", "size", "NewTOP(msg/s)", "FS-NewTOP(msg/s)",
                 "gap(msg/s)");
     for (int kb = 0; kb <= 10; ++kb) {
-        const auto newtop = to_result(reports[static_cast<std::size_t>(2 * kb)]);
-        const auto fsnewtop = to_result(reports[static_cast<std::size_t>(2 * kb + 1)]);
+        const auto& newtop = reports[static_cast<std::size_t>(2 * kb)].metrics;
+        const auto& fsnewtop = reports[static_cast<std::size_t>(2 * kb + 1)].metrics;
 
         std::printf("%2dk        %-18.1f %-18.1f %-14.1f%s\n", kb, newtop.throughput_msg_s,
                     fsnewtop.throughput_msg_s,

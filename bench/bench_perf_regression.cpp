@@ -183,7 +183,7 @@ void bench_message_plane(scenario::JsonWriter& w, bool smoke, std::uint64_t seed
 
     const double start = now_ms();
     for (int m = 0; m < messages; ++m) {
-        sender.invoke_fanout(targets, "bench", orb::Any{Bytes(payload_size, 0x42)});
+        sender.invoke_fanout(targets, "bench", Bytes(payload_size, 0x42));
     }
     sim.run();
     const double wall = now_ms() - start;

@@ -13,9 +13,9 @@
 // The measurement loop itself lives in the scenario engine
 // (src/scenario/runner.hpp): an ExperimentConfig is just a fault-free
 // Scenario, so benches, tests and declarative fault campaigns all run
-// through one code path. `run_experiment_report` exposes the full
-// ScenarioReport (invariant verdicts included) for benches that write JSON
-// reports via --out.
+// through one code path. Benches read each run's ScenarioMetrics off its
+// ScenarioReport; the full reports (invariant verdicts included) are what
+// --out writes.
 #pragma once
 
 #include <cstdio>
@@ -44,17 +44,6 @@ struct ExperimentConfig {
     BatchConfig batch{};
 };
 
-struct ExperimentResult {
-    double mean_latency_ms{0};
-    double p95_latency_ms{0};
-    double throughput_msg_s{0};
-    std::uint64_t network_messages{0};
-    std::uint64_t network_bytes{0};
-    bool fail_signals{false};
-    std::uint64_t expected_deliveries{0};
-    std::uint64_t observed_deliveries{0};
-};
-
 /// The declarative form of a §4 measurement run.
 inline scenario::Scenario make_scenario(const ExperimentConfig& cfg) {
     scenario::Scenario s;
@@ -73,28 +62,6 @@ inline scenario::Scenario make_scenario(const ExperimentConfig& cfg) {
         s.name += "/b" + std::to_string(cfg.batch.max_requests);
     }
     return s;
-}
-
-inline ExperimentResult to_result(const scenario::ScenarioReport& report) {
-    const auto& m = report.metrics;
-    ExperimentResult out;
-    out.mean_latency_ms = m.mean_latency_ms;
-    out.p95_latency_ms = m.p95_latency_ms;
-    out.throughput_msg_s = m.throughput_msg_s;
-    out.network_messages = m.network_messages;
-    out.network_bytes = m.network_bytes;
-    out.fail_signals = m.fail_signals;
-    out.expected_deliveries = m.expected_deliveries;
-    out.observed_deliveries = m.observed_deliveries;
-    return out;
-}
-
-inline scenario::ScenarioReport run_experiment_report(const ExperimentConfig& cfg) {
-    return scenario::run_scenario(make_scenario(cfg));
-}
-
-inline ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-    return to_result(run_experiment_report(cfg));
 }
 
 /// Runs every configuration on `jobs` worker threads (0 = hardware

@@ -592,43 +592,4 @@ void PbftReplica::send_to(ReplicaId r, const PbftMessage& msg, Out& out) {
     out.emplace_back(it->second, "pbft", msg.encode());
 }
 
-PbftServant::PbftServant(orb::Orb& orb, const std::string& key,
-                         std::unique_ptr<PbftReplica> replica)
-    : orb_(orb), replica_(std::move(replica)) {
-    self_ref_ = orb_.activate(key, this);
-}
-
-void PbftServant::dispatch(const orb::Request& request) {
-    if (!request.args.is<Bytes>()) return;
-    submit_local(request.operation, request.args.as<Bytes>());
-}
-
-void PbftServant::submit_local(const std::string& operation, Bytes body) {
-    queue_.emplace_back(operation, std::move(body));
-    maybe_run();
-}
-
-void PbftServant::maybe_run() {
-    if (busy_ || queue_.empty()) return;
-    busy_ = true;
-    auto [operation, body] = std::move(queue_.front());
-    queue_.pop_front();
-    const Duration cost = replica_->processing_cost(operation, body);
-    orb_.pool().submit(cost, [this, operation = std::move(operation), body = std::move(body)] {
-        auto outputs = replica_->process(operation, body);
-        for (auto& out : outputs) {
-            // One fan-out invocation per logical output: the body is
-            // marshalled once and shared across all destinations.
-            std::vector<orb::ObjectRef> targets;
-            targets.reserve(out.dests.size());
-            for (const auto& dest : out.dests) {
-                if (!dest.is_fs) targets.push_back(dest.ref);
-            }
-            orb_.invoke_fanout(targets, out.operation, orb::Any{std::move(out.body)});
-        }
-        busy_ = false;
-        maybe_run();
-    });
-}
-
 }  // namespace failsig::baseline

@@ -10,14 +10,14 @@
 //    exactly the speculative-timeout dependence FS-NewTOP removes.
 //
 // The replica is a deterministic state machine (same style as
-// newtop::GcService) so it can be driven by the simulator or in-memory.
+// newtop::GcService) so it can be driven in-memory or, in a deployment,
+// hosted by an fs::PlainHost exactly as NewTOP's GC objects are.
 // Input operations:
 //   "request"  body = ClientRequest        (from the local application)
 //   "pbft"     body = PbftMessage          (from a peer replica)
 //   "timeout"  body = u64 view number      (liveness timer fired)
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -26,7 +26,6 @@
 #include "app/kv_store.hpp"
 #include "fs/service.hpp"
 #include "obs/obs.hpp"
-#include "orb/orb.hpp"
 #include "orb/request.hpp"
 
 namespace failsig::baseline {
@@ -204,29 +203,6 @@ private:
     std::uint64_t log_slots_retained_{0};
     std::uint64_t state_transfers_served_{0};
     std::uint64_t recoveries_completed_{0};
-};
-
-/// Hosts one PbftReplica as an ORB servant with serialized execution and
-/// per-input CPU cost — the baseline's equivalent of newtop::GcServant.
-class PbftServant final : public orb::Servant {
-public:
-    PbftServant(orb::Orb& orb, const std::string& key, std::unique_ptr<PbftReplica> replica);
-
-    void dispatch(const orb::Request& request) override;
-    void submit_local(const std::string& operation, Bytes body);
-
-    [[nodiscard]] PbftReplica& replica() { return *replica_; }
-    [[nodiscard]] const PbftReplica& replica() const { return *replica_; }
-    [[nodiscard]] const orb::ObjectRef& ref() const { return self_ref_; }
-
-private:
-    void maybe_run();
-
-    orb::Orb& orb_;
-    std::unique_ptr<PbftReplica> replica_;
-    orb::ObjectRef self_ref_;
-    std::deque<std::pair<std::string, Bytes>> queue_;
-    bool busy_{false};
 };
 
 }  // namespace failsig::baseline

@@ -6,7 +6,7 @@ namespace failsig::crypto {
 
 template <typename Hasher>
 HmacKey<Hasher>::HmacKey(std::span<const std::uint8_t> key) {
-    constexpr std::size_t kBlock = 64;  // both MD5 and SHA-256 use 64-byte blocks
+    constexpr std::size_t kBlock = 64;  // SHA-256 block size
 
     std::array<std::uint8_t, kBlock> k{};
     if (key.size() > kBlock) {
@@ -37,7 +37,6 @@ typename HmacKey<Hasher>::Tag HmacKey<Hasher>::tag(std::span<const std::uint8_t>
 }
 
 template class HmacKey<Sha256>;
-template class HmacKey<Md5>;
 
 namespace {
 
@@ -51,10 +50,6 @@ Bytes one_shot(std::span<const std::uint8_t> key, std::span<const std::uint8_t> 
 
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
     return one_shot<Sha256>(key, data);
-}
-
-Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data) {
-    return one_shot<Md5>(key, data);
 }
 
 }  // namespace failsig::crypto

@@ -1,4 +1,4 @@
-// HMAC (RFC 2104) over SHA-256 or MD5.
+// HMAC (RFC 2104) over SHA-256.
 //
 // Used as the fast message-authentication backend inside simulated
 // deployments (where RSA's CPU cost is charged in *simulated* time via the
@@ -9,7 +9,6 @@
 #include <span>
 
 #include "common/bytes.hpp"
-#include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
 
 namespace failsig::crypto {
@@ -33,14 +32,10 @@ private:
 };
 
 extern template class HmacKey<Sha256>;
-extern template class HmacKey<Md5>;
 
 using HmacSha256Key = HmacKey<Sha256>;
 
 /// HMAC-SHA256 of `data` under `key` (32-byte tag).
 Bytes hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
-
-/// HMAC-MD5 of `data` under `key` (16-byte tag).
-Bytes hmac_md5(std::span<const std::uint8_t> key, std::span<const std::uint8_t> data);
 
 }  // namespace failsig::crypto

@@ -40,8 +40,8 @@ NewTopDeployment::NewTopDeployment(const DeploymentSpec& spec)
         cfg.obs_member = i;
         cfg.checkpoint_interval = spec.checkpoint_interval;
 
-        member.gc = std::make_unique<newtop::GcServant>(orb, "gc",
-                                                        std::make_unique<newtop::GcService>(cfg));
+        member.gc = std::make_unique<fs::PlainHost>(orb, "gc",
+                                                    std::make_unique<newtop::GcService>(cfg));
         member.invocation = std::make_unique<newtop::PlainInvocation>(orb, "inv", *member.gc);
         member.invocation->set_obs(spec.obs, i);
         member.invocation->configure_batching(orb.simulation(), spec.batch);
@@ -67,14 +67,14 @@ newtop::PlainInvocation& NewTopDeployment::invocation(int member) {
 }
 
 newtop::GcService& NewTopDeployment::gc(int member) {
-    return members_.at(static_cast<std::size_t>(member)).gc->gc();
+    return dynamic_cast<newtop::GcService&>(gc_host(member).service());
 }
 
 const newtop::GcService& NewTopDeployment::gc(int member) const {
-    return members_.at(static_cast<std::size_t>(member)).gc->gc();
+    return const_cast<NewTopDeployment*>(this)->gc(member);
 }
 
-newtop::GcServant& NewTopDeployment::gc_servant(int member) {
+fs::PlainHost& NewTopDeployment::gc_host(int member) {
     return *members_.at(static_cast<std::size_t>(member)).gc;
 }
 
@@ -125,7 +125,7 @@ std::vector<RecoveryStep> NewTopDeployment::recover_steps(int member) {
     steps.push_back({node_of(member), [this, member] {
                          suspector(member).forgive_all();
                          invocation(member).prepare_rejoin();
-                         gc_servant(member).submit_local("__rejoin", Bytes{});
+                         gc_host(member).submit_local("__rejoin", Bytes{});
                      }});
     return steps;
 }

@@ -29,12 +29,12 @@ public:
     [[nodiscard]] newtop::PlainInvocation& invocation(int member);
     [[nodiscard]] newtop::GcService& gc(int member);
     [[nodiscard]] const newtop::GcService& gc(int member) const;
-    [[nodiscard]] newtop::GcServant& gc_servant(int member);
+    [[nodiscard]] fs::PlainHost& gc_host(int member);
     [[nodiscard]] newtop::PingSuspector& suspector(int member);
 
 private:
     struct Member {
-        std::unique_ptr<newtop::GcServant> gc;
+        std::unique_ptr<fs::PlainHost> gc;
         std::unique_ptr<newtop::PlainInvocation> invocation;
         std::unique_ptr<newtop::PingSuspector> suspector;
     };

@@ -14,12 +14,11 @@ public:
     }
 
     void dispatch(const orb::Request& request) override {
-        if (!request.args.is<Bytes>()) return;
         if (request.operation == "recovered") {
             // The replica restarts its delivery stream at watermark+1 after a
             // state transfer; whatever was held back belongs to the pre-crash
             // stream and is dead.
-            const Bytes& body = request.args.as<Bytes>();
+            const Bytes& body = request.args;
             if (body.size() != 8) return;
             ByteReader r(body);
             next_seq_ = r.u64() + 1;
@@ -27,7 +26,7 @@ public:
             return;
         }
         if (request.operation != "deliver") return;
-        auto d = PbftDelivery::decode(request.args.as<Bytes>());
+        auto d = PbftDelivery::decode(request.args);
         if (!d.has_value()) return;
         // Re-sequence on the replica's commit order: the replica emits
         // deliveries in seq order, but each travels as its own marshal task
@@ -112,7 +111,7 @@ PbftDeployment::PbftDeployment(const DeploymentSpec& spec)
         cfg.obs_member = static_cast<int>(i);
         cfg.checkpoint_interval = spec.checkpoint_interval;
 
-        replicas_.push_back(std::make_unique<baseline::PbftServant>(
+        replicas_.push_back(std::make_unique<fs::PlainHost>(
             *orbs[i], "pbft", std::make_unique<baseline::PbftReplica>(cfg)));
         batchers_.push_back(std::make_unique<Batcher>(
             spec.batch,
@@ -170,10 +169,9 @@ BatchStats PbftDeployment::batch_stats() const {
 }
 
 void PbftDeployment::fire_timeouts_member(int member) {
-    auto& servant = replicas_.at(static_cast<std::size_t>(member));
     ByteWriter w;
-    w.u64(servant->replica().view());
-    servant->submit_local("timeout", w.take());
+    w.u64(replica(static_cast<ReplicaId>(member)).view());
+    replicas_.at(static_cast<std::size_t>(member))->submit_local("timeout", w.take());
 }
 
 void PbftDeployment::begin_recovery(ReplicaId at) {
@@ -181,17 +179,17 @@ void PbftDeployment::begin_recovery(ReplicaId at) {
 }
 
 baseline::PbftReplica& PbftDeployment::replica(ReplicaId r) {
-    return replicas_.at(r)->replica();
+    return dynamic_cast<baseline::PbftReplica&>(replicas_.at(r)->service());
 }
 
 const baseline::PbftReplica& PbftDeployment::replica(ReplicaId r) const {
-    return replicas_.at(r)->replica();
+    return const_cast<PbftDeployment*>(this)->replica(r);
 }
 
 std::vector<RecoveryStep> PbftDeployment::recover_steps(int member) {
     // The replica restarts with an empty log and pulls a stable checkpoint
     // plus the committed suffix from its peers; everything runs through the
-    // servant's ordinary input path, so no link surgery is needed beyond the
+    // host's ordinary input path, so no link surgery is needed beyond the
     // default unblock.
     return {{node_of(member), [this, member] {
                  begin_recovery(static_cast<ReplicaId>(member));

@@ -11,6 +11,7 @@
 #include "baseline/pbft.hpp"
 #include "common/batch.hpp"
 #include "deploy/stack.hpp"
+#include "fs/plain_host.hpp"
 
 namespace failsig::deploy {
 
@@ -57,7 +58,7 @@ private:
     /// them to the unit's span (only called when obs is on).
     void trace_flush(baseline::ReplicaId at, const Bytes& unit);
 
-    std::vector<std::unique_ptr<baseline::PbftServant>> replicas_;
+    std::vector<std::unique_ptr<fs::PlainHost>> replicas_;
     std::vector<std::unique_ptr<DeliverySink>> sinks_;
     std::vector<std::unique_ptr<Batcher>> batchers_;
     std::vector<std::uint64_t> next_origin_seq_;

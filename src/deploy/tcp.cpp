@@ -240,19 +240,11 @@ void TcpDeployment::crash(int member) {
     // members (FS-NewTOP, where app hosts double as pair hosts) keep their
     // stack's own crash semantics — tearing a shared host down would take
     // healthy members with it.
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    std::set<std::uint32_t> others;
-    for (int other = 0; other < inner_->group_size(); ++other) {
-        if (other == member) continue;
-        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
-    }
-    const bool exclusive = std::none_of(mine.begin(), mine.end(), [&](NodeId node) {
-        return others.contains(node.value);
-    });
-    if (!exclusive) {
+    if (!hosts_exclusively(member)) {
         inner_->crash(member);
         return;
     }
+    const std::vector<NodeId> mine = inner_->nodes_of(member);
     for (const NodeId node : mine) transport_->isolate(node);
     {
         const std::lock_guard lock(mu_);
@@ -271,16 +263,8 @@ void TcpDeployment::recover(int member) {
     // Mirror of crash(): members with dedicated hosts get their frames
     // re-admitted and their executor threads respawned; shared-host members
     // (FS-NewTOP) delegate link healing to the wrapped stack.
-    const std::vector<NodeId> mine = inner_->nodes_of(member);
-    std::set<std::uint32_t> others;
-    for (int other = 0; other < inner_->group_size(); ++other) {
-        if (other == member) continue;
-        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
-    }
-    const bool exclusive = std::none_of(mine.begin(), mine.end(), [&](NodeId node) {
-        return others.contains(node.value);
-    });
-    if (exclusive) {
+    if (hosts_exclusively(member)) {
+        const std::vector<NodeId> mine = inner_->nodes_of(member);
         for (const NodeId node : mine) transport_->restore(node);
         // The crashed executors' threads have exited their loops; join them
         // outside the hub mutex, then reset and respawn.
@@ -318,6 +302,17 @@ void TcpDeployment::recover(int member) {
     for (auto& step : inner_->recover_steps(member)) {
         run_on_node(step.node, std::move(step.fn));
     }
+}
+
+bool TcpDeployment::hosts_exclusively(int member) const {
+    const std::vector<NodeId> mine = inner_->nodes_of(member);
+    std::set<std::uint32_t> others;
+    for (int other = 0; other < inner_->group_size(); ++other) {
+        if (other == member) continue;
+        for (const NodeId node : inner_->nodes_of(other)) others.insert(node.value);
+    }
+    return std::none_of(mine.begin(), mine.end(),
+                        [&](NodeId node) { return others.contains(node.value); });
 }
 
 bool TcpDeployment::run_on_node(NodeId node, std::function<void()> fn) {

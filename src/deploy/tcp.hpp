@@ -132,6 +132,9 @@ private:
     /// Earliest pending virtual-time event across executors + driver.
     [[nodiscard]] TimePoint earliest_due_locked();
     void run_core(bool bounded, TimePoint deadline);
+    /// True when no other member shares any of `member`'s nodes: crashing
+    /// it may then tear its hosts down without touching a healthy member.
+    [[nodiscard]] bool hosts_exclusively(int member) const;
 
     time::VirtualClock vclock_;
     sim::Simulation driver_;  // coordinator thread only

@@ -19,12 +19,11 @@ void FsClient::send(const std::string& fs_name, const std::string& operation, By
     // Unsigned envelope: clients are not FS processes. The pair dedups the
     // two copies by uid. One fan-out: both replicas share one encoded body.
     const crypto::SignedEnvelope env(input.encode());
-    orb_.invoke_fanout({info->leader, info->follower}, "receiveNew", orb::Any{env.encode()});
+    orb_.invoke_fanout({info->leader, info->follower}, "receiveNew", env.encode());
 }
 
 void FsClient::dispatch(const orb::Request& request) {
-    if (!request.args.is<Bytes>()) return;
-    auto env = crypto::SignedEnvelope::decode(request.args.as<Bytes>());
+    auto env = crypto::SignedEnvelope::decode(request.args);
     if (!env.has_value()) {
         ++invalid_dropped_;
         return;

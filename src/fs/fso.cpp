@@ -111,8 +111,8 @@ void Fso::reset_for_recovery(std::uint64_t seq_base) {
 // ---------------------------------------------------------------------------
 
 void Fso::dispatch(const orb::Request& request) {
-    if (request.operation != "receiveNew" || !request.args.is<Bytes>()) return;
-    auto env = crypto::SignedEnvelope::decode(request.args.as<Bytes>());
+    if (request.operation != "receiveNew") return;
+    auto env = crypto::SignedEnvelope::decode(request.args);
     if (!env.has_value()) return;
     auto shared = std::make_shared<crypto::SignedEnvelope>(std::move(env).value());
 
@@ -560,16 +560,11 @@ void Fso::fanout_raw(const std::vector<orb::ObjectRef>& targets, const std::stri
                      Bytes wire) {
     if (targets.empty()) return;
     orb::Request req;
-    req.object_key = targets.front().key;
     req.operation = operation;
-    req.args = orb::Any{std::move(wire)};
+    req.args = std::move(wire);
     req.request_id = next_raw_request_id_++;
-    req.sender = pair_ep_;
     const Payload body{req.encode_body()};
-    for (const auto& t : targets) {
-        rt_.net.send(pair_ep_, t.endpoint,
-                     Payload::prefixed(orb::Request::encode_key(t.key), body));
-    }
+    for (const auto& t : targets) rt_.net.send(pair_ep_, t.endpoint, orb::Request::frame(t, body));
 }
 
 void Fso::transmit(const FsOutput& record, Bytes wire) {
@@ -583,21 +578,17 @@ void Fso::transmit(const FsOutput& record, Bytes wire) {
         bool ready{false};
     };
     SharedBody fs_body, plain_body;
-    const orb::Any args{std::move(wire)};
+    orb::Request req;
+    req.args = std::move(wire);
     const auto send_shared = [&](const orb::ObjectRef& ref, SharedBody& slot,
                                  const std::string& operation) {
         if (!slot.ready) {
-            orb::Request req;
-            req.object_key = ref.key;
             req.operation = operation;
-            req.args = args;
             req.request_id = next_raw_request_id_++;
-            req.sender = pair_ep_;
             slot.body = Payload{req.encode_body()};
             slot.ready = true;
         }
-        rt_.net.send(pair_ep_, ref.endpoint,
-                     Payload::prefixed(orb::Request::encode_key(ref.key), slot.body));
+        rt_.net.send(pair_ep_, ref.endpoint, orb::Request::frame(ref, slot.body));
     };
     for (const auto& dest : record.dests) {
         if (dest.is_fs) {

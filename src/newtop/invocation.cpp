@@ -113,7 +113,8 @@ void InvocationService::upcall_single(const Delivery& d) {
     if (delivery_handler_) delivery_handler_(d);
 }
 
-PlainInvocation::PlainInvocation(orb::Orb& orb, const std::string& key, GcServant& local_gc)
+PlainInvocation::PlainInvocation(orb::Orb& orb, const std::string& key,
+                                 fs::PlainHost& local_gc)
     : local_gc_(local_gc) {
     self_ref_ = orb.activate(key, this);
 }
@@ -127,8 +128,8 @@ void PlainInvocation::do_multicast(ServiceType service, Bytes payload) {
 }
 
 void PlainInvocation::dispatch(const orb::Request& request) {
-    if (request.operation != "deliver" || !request.args.is<Bytes>()) return;
-    handle_delivery_bytes(request.args.as<Bytes>());
+    if (request.operation != "deliver") return;
+    handle_delivery_bytes(request.args);
 }
 
 }  // namespace failsig::newtop

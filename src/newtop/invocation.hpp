@@ -16,7 +16,8 @@
 #include <memory>
 
 #include "common/batch.hpp"
-#include "newtop/gc_servant.hpp"
+#include "fs/plain_host.hpp"
+#include "newtop/gc_service.hpp"
 #include "obs/obs.hpp"
 
 namespace failsig::newtop {
@@ -117,8 +118,8 @@ private:
 /// Invocation service of the original, crash-tolerant NewTOP.
 class PlainInvocation final : public InvocationService, public orb::Servant {
 public:
-    /// Registers under `key` on `orb`; `local_gc` is the collocated GC object.
-    PlainInvocation(orb::Orb& orb, const std::string& key, GcServant& local_gc);
+    /// Registers under `key` on `orb`; `local_gc` hosts the collocated GC object.
+    PlainInvocation(orb::Orb& orb, const std::string& key, fs::PlainHost& local_gc);
 
     void dispatch(const orb::Request& request) override;
 
@@ -128,7 +129,7 @@ protected:
     void do_multicast(ServiceType service, Bytes payload) override;
 
 private:
-    GcServant& local_gc_;
+    fs::PlainHost& local_gc_;
     orb::ObjectRef self_ref_;
 };
 

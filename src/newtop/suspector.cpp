@@ -3,8 +3,13 @@
 namespace failsig::newtop {
 
 PingSuspector::PingSuspector(sim::Simulation& sim, orb::Orb& orb, const std::string& key,
-                             MemberId self, GcServant& local_gc, SuspectorOptions options)
-    : sim_(sim), orb_(orb), self_(self), local_gc_(local_gc), options_(options) {
+                             MemberId self, fs::PlainHost& local_gc, SuspectorOptions options)
+    : sim_(sim),
+      orb_(orb),
+      self_(self),
+      local_gc_(local_gc),
+      gc_(dynamic_cast<const GcService&>(local_gc.service())),
+      options_(options) {
     self_ref_ = orb_.activate(key, this);
 }
 
@@ -23,7 +28,7 @@ void PingSuspector::stop() { running_ = false; }
 
 void PingSuspector::tick() {
     if (!running_) return;
-    const GroupView& view = local_gc_.gc().view();
+    const GroupView& view = gc_.view();
     for (const auto& [member, ref] : peers_) {
         if (!view.contains(member) || suspected_.contains(member)) continue;
 
@@ -37,14 +42,13 @@ void PingSuspector::tick() {
         }
         ByteWriter ping;
         ping.u32(self_);
-        orb_.invoke(ref, "ping", orb::Any{ping.take()});
+        orb_.invoke(ref, "ping", ping.take());
     }
     sim_.schedule_after(options_.ping_interval, [this] { tick(); });
 }
 
 void PingSuspector::dispatch(const orb::Request& request) {
-    if (!request.args.is<Bytes>()) return;
-    const Bytes& body = request.args.as<Bytes>();
+    const Bytes& body = request.args;
     if (body.size() != 4) return;
     ByteReader r(body);
     const MemberId from = r.u32();
@@ -54,7 +58,7 @@ void PingSuspector::dispatch(const orb::Request& request) {
         if (it == peers_.end()) return;
         ByteWriter pong;
         pong.u32(self_);
-        orb_.invoke(it->second, "pong", orb::Any{pong.take()});
+        orb_.invoke(it->second, "pong", pong.take());
     } else if (request.operation == "pong") {
         last_heard_[from] = sim_.now();
     }

@@ -5,7 +5,8 @@
 // NewTOP groups split even without failures (paper §1, §3.1).
 #pragma once
 
-#include "newtop/gc_servant.hpp"
+#include "fs/plain_host.hpp"
+#include "newtop/gc_service.hpp"
 #include "sim/simulation.hpp"
 
 namespace failsig::newtop {
@@ -18,7 +19,7 @@ struct SuspectorOptions {
 class PingSuspector final : public orb::Servant {
 public:
     PingSuspector(sim::Simulation& sim, orb::Orb& orb, const std::string& key, MemberId self,
-                  GcServant& local_gc, SuspectorOptions options);
+                  fs::PlainHost& local_gc, SuspectorOptions options);
 
     /// Other members' suspector object refs, keyed by member id.
     void set_peers(std::map<MemberId, orb::ObjectRef> peers);
@@ -53,7 +54,8 @@ private:
     sim::Simulation& sim_;
     orb::Orb& orb_;
     MemberId self_;
-    GcServant& local_gc_;
+    fs::PlainHost& local_gc_;
+    const GcService& gc_;  ///< the service local_gc_ hosts
     SuspectorOptions options_;
     orb::ObjectRef self_ref_;
     std::map<MemberId, orb::ObjectRef> peers_;

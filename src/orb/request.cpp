@@ -4,9 +4,16 @@ namespace failsig::orb {
 
 namespace {
 
+/// The args' typecode: 6 is `bytes` in the CORBA-any layout the wire keeps.
+constexpr std::uint8_t kBytesTypecode = 6;
+/// Typecode byte plus the inner u32 length, in front of the args' data.
+constexpr std::size_t kArgsHeader = 1 + 4;
+
 void encode_body_into(ByteWriter& w, const Request& req) {
     w.str(req.operation);
-    req.args.encode_into_prefixed(w);
+    w.u32(static_cast<std::uint32_t>(kArgsHeader + req.args.size()));
+    w.u8(kBytesTypecode);
+    w.bytes(req.args);
     w.u32(req.reply_to.endpoint.node.value);
     w.u32(req.reply_to.endpoint.port.value);
     w.str(req.reply_to.key);
@@ -22,10 +29,10 @@ void encode_body_into(ByteWriter& w, const Request& req) {
 /// truncation, returns an error message for semantic failures.
 Result<Request> decode_body(ByteReader& r, Request req) {
     req.operation = r.str();
-    const auto args_wire = r.bytes_view();
-    auto args = Any::decode(args_wire);
-    if (!args.has_value()) return Result<Request>::err("bad args: " + args.error().message);
-    req.args = std::move(args).value();
+    ByteReader args(r.bytes_view());
+    if (args.u8() != kBytesTypecode) return Result<Request>::err("bad args: not bytes");
+    req.args = args.bytes();
+    if (!args.done()) return Result<Request>::err("bad args: trailing bytes");
     req.reply_to.endpoint.node.value = r.u32();
     req.reply_to.endpoint.port.value = r.u32();
     req.reply_to.key = r.str();
@@ -54,6 +61,10 @@ Bytes Request::encode_body() const {
     w.reserve(wire_size_sans_key() + 64);
     encode_body_into(w, *this);
     return w.take();
+}
+
+Payload Request::frame(const ObjectRef& target, const Payload& body) {
+    return Payload::prefixed(encode_key(target.key), body);
 }
 
 Bytes Request::encode() const {
@@ -92,7 +103,7 @@ Result<Request> Request::decode_message(const Payload& payload) {
 std::size_t Request::wire_size() const { return object_key.size() + wire_size_sans_key(); }
 
 std::size_t Request::wire_size_sans_key() const {
-    std::size_t size = operation.size() + args.encoded_size();
+    std::size_t size = operation.size() + kArgsHeader + args.size();
     for (const auto& [name, blob] : contexts) size += name.size() + blob.size();
     return size;
 }

@@ -1,10 +1,10 @@
 // ORB request model: object references, service contexts and the wire codec.
 //
 // An ObjectRef is an IOR-lite: the endpoint the object's ORB listens on plus
-// the object key. Service contexts are named byte blobs piggybacked on a
-// request — exactly the CORBA mechanism that signature-carrying interceptors
-// use (the FS wrappers put single/double signatures there, transparently to
-// the target object).
+// the object key. Every stack marshals its operation arguments itself, so a
+// request carries them as one opaque byte string. Service contexts are named
+// byte blobs piggybacked on a request (the CORBA mechanism); no sender fills
+// them today, but they stay on the wire.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +15,12 @@
 #include "common/payload.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
-#include "orb/any.hpp"
 
 namespace failsig::orb {
+
+/// The former name of a request's argument type (a tagged CORBA `any`);
+/// callers that still spell it get plain bytes.
+using Any = Bytes;
 
 /// Location-independent object reference.
 struct ObjectRef {
@@ -34,22 +37,27 @@ using ServiceContexts = std::map<std::string, Bytes>;
 struct Request {
     std::string object_key;    ///< target object on the receiving ORB
     std::string operation;     ///< operation name
-    Any args;                  ///< marshalled arguments
+    Bytes args;                ///< marshalled arguments
     ObjectRef reply_to;        ///< where responses should be directed (optional)
     std::uint64_t request_id{0};
-    ServiceContexts contexts;  ///< interceptor-managed metadata (signatures &c)
+    ServiceContexts contexts;  ///< out-of-band metadata (on the wire, unused)
     Endpoint sender;           ///< filled in by the receiving ORB
 
     // The wire image is [header][body]: the header is the length-prefixed
     // object key (the only per-target field), the body is everything else.
     // A multicast encodes the body once and shares it across all n targets
-    // via Payload::prefixed — encode() remains the concatenation, so the
-    // byte layout is unchanged from the pre-zero-copy plane.
+    // via frame() — encode() remains the concatenation. Inside the body the
+    // args travel as u32 length, typecode 6 (bytes), u32 length, data: the
+    // tagged-value layout of the CORBA `any` the ORB once carried, of which
+    // only the bytes case is left.
     [[nodiscard]] Bytes encode() const;
     /// The per-target header for `key` (a length-prefixed string).
     static Bytes encode_key(const std::string& key);
     /// Everything after the object key, shared across a fan-out.
     [[nodiscard]] Bytes encode_body() const;
+    /// The wire image for `target`: its key header over a `body` that every
+    /// target of one fan-out shares.
+    static Payload frame(const ObjectRef& target, const Payload& body);
 
     static Result<Request> decode(std::span<const std::uint8_t> data);
     /// Segment-aware decode: reads the object key from the payload's header

@@ -166,11 +166,6 @@ TEST(Hmac, Sha256LongKeyIsHashedFirst) {
               "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
-TEST(Hmac, Md5Rfc2202Case1) {
-    const Bytes key(16, 0x0b);
-    EXPECT_EQ(to_hex(hmac_md5(key, B("Hi There"))), "9294727a3638bb1c13f48ef8158bfc9d");
-}
-
 TEST(Hmac, PrecomputedKeyIsReusable) {
     // One HmacSha256Key tags many messages: tag() copies the absorbed pad
     // states and never disturbs them.

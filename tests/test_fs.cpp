@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "fs/client.hpp"
+#include "fs/plain_host.hpp"
 #include "net/network.hpp"
 #include "fs/process.hpp"
 
@@ -283,7 +284,7 @@ TEST(FsProcess, ClientTalkingOnlyToLeaderStillWorks) {
     input.body = make_body(client.ref(), 5);
     input.origin_ref = client.ref();
     client_orb.invoke(info->leader, "receiveNew",
-                      orb::Any{crypto::SignedEnvelope(input.encode()).encode()});
+                      crypto::SignedEnvelope(input.encode()).encode());
     w.sim.run();
     EXPECT_EQ(responses, 1);
 }
@@ -305,7 +306,7 @@ TEST(FsProcess, ClientTalkingOnlyToFollowerStillWorks) {
     input.body = make_body(client.ref(), 6);
     input.origin_ref = client.ref();
     client_orb.invoke(info->follower, "receiveNew",
-                      orb::Any{crypto::SignedEnvelope(input.encode()).encode()});
+                      crypto::SignedEnvelope(input.encode()).encode());
     w.sim.run();
     EXPECT_EQ(responses, 1);
 }
@@ -497,7 +498,7 @@ TEST(FsAuth, ForgedOutputRejectedByClient) {
     env.add_signature(w.keys.signer("mallory"));
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), "sum", orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), "sum", env.encode());
     w.sim.run();
     EXPECT_EQ(responses, 0);
     EXPECT_EQ(client.invalid_dropped(), 1u);
@@ -522,7 +523,7 @@ TEST(FsAuth, SingleSignedOutputRejectedByClient) {
     env.add_signature(w.keys.signer("p1/L"));  // only the leader's signature
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), "sum", orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), "sum", env.encode());
     w.sim.run();
     EXPECT_EQ(responses, 0);
     EXPECT_EQ(client.invalid_dropped(), 1u);
@@ -544,7 +545,7 @@ TEST(FsAuth, ForgedFailSignalRejected) {
     env.add_signature(w.keys.signer("mallory"));
 
     orb::Orb& mallory_orb = w.domain.create_orb(NodeId{4});
-    mallory_orb.invoke(client.ref(), kFailSignalOp, orb::Any{env.encode()});
+    mallory_orb.invoke(client.ref(), kFailSignalOp, env.encode());
     w.sim.run();
     EXPECT_FALSE(fail_signalled);
     EXPECT_EQ(client.invalid_dropped(), 1u);
@@ -575,6 +576,72 @@ TEST(FsAuth, CorruptedWireBytesIgnored) {
     for (int i = 0; i < responses; ++i) SUCCEED();
     EXPECT_LE(responses, 1);
     (void)p;
+}
+
+// ---------------------------------------------------------------------------
+// PlainHost: the same kind of service, hosted plainly (crash tolerance)
+// ---------------------------------------------------------------------------
+
+/// Costs 1 ms per input, records when each input starts, and echoes it to a
+/// plain sink and to an FS destination (which a plain host does not serve).
+class TimedEchoService final : public DeterministicService {
+public:
+    TimedEchoService(sim::Simulation& sim, orb::ObjectRef sink)
+        : sim_(sim), sink_(std::move(sink)) {}
+
+    std::vector<Outbound> process(const std::string& operation, const Bytes& body) override {
+        started.emplace_back(sim_.now(), operation);
+        Outbound out;
+        out.dests = {Destination::plain(sink_), Destination::fs("elsewhere")};
+        out.operation = "echo";
+        out.body = body;
+        return {out};
+    }
+    [[nodiscard]] Duration processing_cost(const std::string&, const Bytes&) const override {
+        return kMillisecond;
+    }
+
+    std::vector<std::pair<TimePoint, std::string>> started;
+
+private:
+    sim::Simulation& sim_;
+    orb::ObjectRef sink_;
+};
+
+class EchoSink final : public orb::Servant {
+public:
+    void dispatch(const orb::Request& request) override { bodies.push_back(request.args); }
+    std::vector<Bytes> bodies;
+};
+
+TEST(PlainHost, BackToBackInputsRunSerially) {
+    World w;  // ten pool threads per node: only the host can serialize
+    orb::Orb& orb = w.domain.create_orb(NodeId{1});
+    orb::Orb& peer_orb = w.domain.create_orb(NodeId{2});
+    EchoSink sink;
+    auto owned = std::make_unique<TimedEchoService>(w.sim, peer_orb.activate("sink", &sink));
+    TimedEchoService& service = *owned;
+    PlainHost host(orb, "svc", std::move(owned));
+    EXPECT_EQ(&host.service(), &service);
+
+    host.submit_local("first", bytes_of("a"));
+    host.submit_local("second", bytes_of("b"));
+    peer_orb.invoke(host.ref(), "third", bytes_of("c"));  // the ORB path queues too
+    w.sim.run();
+
+    ASSERT_EQ(service.started.size(), 3u);
+    EXPECT_EQ(service.started[0].second, "first");
+    EXPECT_EQ(service.started[1].second, "second");
+    EXPECT_EQ(service.started[2].second, "third");
+    // Each input waits out the previous one's full processing cost although
+    // the node's pool has idle threads.
+    EXPECT_GE(service.started[1].first - service.started[0].first, kMillisecond);
+    EXPECT_GE(service.started[2].first - service.started[1].first, kMillisecond);
+    // One echo per input reaches the plain destination, in input order.
+    ASSERT_EQ(sink.bodies.size(), 3u);
+    EXPECT_EQ(string_of(sink.bodies[0]), "a");
+    EXPECT_EQ(string_of(sink.bodies[1]), "b");
+    EXPECT_EQ(string_of(sink.bodies[2]), "c");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Unit tests for the mini-ORB: Any codec, request codec, invocation through
-// interceptors, thread-pool dispatch, per-node pool sharing.
+// Unit tests for the mini-ORB: request codec (golden wire image, hostile
+// bytes), oneway and fan-out invocation, thread-pool dispatch, per-node pool
+// sharing.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -9,64 +10,6 @@ namespace failsig::orb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Any
-// ---------------------------------------------------------------------------
-
-TEST(Any, ScalarRoundTrips) {
-    for (const Any v : {Any{}, Any{true}, Any{false}, Any{std::int64_t{-7}},
-                        Any{std::uint64_t{99}}, Any{3.5}, Any{"hello"}, Any{Bytes{1, 2, 3}}}) {
-        const auto decoded = Any::decode(v.encode());
-        ASSERT_TRUE(decoded.has_value());
-        EXPECT_EQ(decoded.value(), v);
-    }
-}
-
-TEST(Any, NestedSequenceAndStruct) {
-    AnyStruct inner{{"k", Any{std::int64_t{1}}}, {"s", Any{"v"}}};
-    AnySequence seq{Any{inner}, Any{"second"}, Any{AnySequence{Any{true}}}};
-    const Any v{seq};
-    const auto decoded = Any::decode(v.encode());
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded.value(), v);
-}
-
-TEST(Any, TypePredicates) {
-    const Any v{"text"};
-    EXPECT_TRUE(v.is<std::string>());
-    EXPECT_FALSE(v.is<Bytes>());
-    EXPECT_EQ(v.as<std::string>(), "text");
-    EXPECT_THROW((void)v.as<Bytes>(), std::bad_variant_access);
-    EXPECT_TRUE(Any{}.is_null());
-}
-
-TEST(Any, DecodeRejectsGarbage) {
-    EXPECT_FALSE(Any::decode(Bytes{0xff}).has_value());
-    EXPECT_FALSE(Any::decode(Bytes{}).has_value());
-    // sequence claiming a billion elements
-    ByteWriter w;
-    w.u8(7);
-    w.u32(1000000000);
-    EXPECT_FALSE(Any::decode(w.view()).has_value());
-}
-
-TEST(Any, DecodeRejectsTrailingBytes) {
-    Bytes wire = Any{std::int64_t{5}}.encode();
-    wire.push_back(0x00);
-    EXPECT_FALSE(Any::decode(wire).has_value());
-}
-
-TEST(Any, DeepNestingRejected) {
-    // Build a 40-deep nested sequence wire image by hand.
-    ByteWriter w;
-    for (int i = 0; i < 40; ++i) {
-        w.u8(7);   // sequence
-        w.u32(1);  // one element
-    }
-    w.u8(0);  // innermost null
-    EXPECT_FALSE(Any::decode(w.view()).has_value());
-}
-
-// ---------------------------------------------------------------------------
 // Request codec
 // ---------------------------------------------------------------------------
 
@@ -74,7 +17,7 @@ TEST(Request, EncodeDecodeRoundTrip) {
     Request req;
     req.object_key = "gc:1";
     req.operation = "multicast";
-    req.args = Any{Bytes{9, 9, 9}};
+    req.args = Bytes{9, 9, 9};
     req.reply_to = ObjectRef{{NodeId{4}, PortId{5}}, "client:7"};
     req.request_id = 42;
     req.contexts["sig"] = Bytes{1, 2};
@@ -100,10 +43,94 @@ TEST(Request, DecodeRejectsTruncation) {
     EXPECT_FALSE(Request::decode(wire).has_value());
 }
 
+TEST(Request, GoldenWireImage) {
+    // Byte layout pinned against the build that still carried the tagged
+    // `Any` codec: args go out as u32 length, typecode 6, u32 length, data.
+    Request req;
+    req.object_key = "gc";
+    req.operation = "multicast";
+    req.args = Bytes{0x01, 0x02, 0x03, 0xff};
+    req.request_id = 42;
+    const std::string body =
+        "090000006d756c746963617374"  // operation
+        "090000000604000000010203ff"  // args: outer length, typecode 6, bytes
+        "000000000000000000000000"    // reply_to: node, port, empty key
+        "2a00000000000000"            // request_id
+        "00000000";                   // no contexts
+    EXPECT_EQ(to_hex(req.encode()), "020000006763" + body);
+    EXPECT_EQ(to_hex(req.encode_body()), body);
+
+    const auto decoded = Request::decode(from_hex("020000006763" + body));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded.value().object_key, "gc");
+    EXPECT_EQ(decoded.value().operation, "multicast");
+    EXPECT_EQ(decoded.value().args, req.args);
+    EXPECT_EQ(decoded.value().request_id, 42u);
+}
+
+/// A request wire image around a hand-built args region (what follows the
+/// region's own u32 length prefix).
+Bytes wire_with_args(const Bytes& args_region) {
+    ByteWriter w;
+    w.str("gc");
+    w.str("multicast");
+    w.bytes(args_region);
+    w.u32(0);  // reply_to node
+    w.u32(0);  // reply_to port
+    w.str("");
+    w.u64(7);  // request_id
+    w.u32(0);  // contexts
+    return w.take();
+}
+
+Bytes args_region(std::uint8_t typecode, std::uint32_t inner_length, const Bytes& data) {
+    ByteWriter w;
+    w.u8(typecode);
+    w.u32(inner_length);
+    w.raw(data);
+    return w.take();
+}
+
+TEST(Request, DecodeAcceptsOnlyBytesArgs) {
+    const Bytes data{1, 2, 3, 4};
+    ASSERT_TRUE(Request::decode(wire_with_args(args_region(6, 4, data))).has_value());
+    // Every other typecode of the old tagged codec (null, bool, i64, u64,
+    // f64, string, sequence, struct) and unknown ones are malformed now.
+    for (const std::uint8_t typecode : {0, 1, 2, 3, 4, 5, 7, 8, 9, 0xff}) {
+        EXPECT_FALSE(Request::decode(wire_with_args(args_region(typecode, 4, data))).has_value())
+            << "typecode " << int{typecode};
+    }
+    // A bare typecode with nothing after it, and an empty args region.
+    EXPECT_FALSE(Request::decode(wire_with_args(Bytes{0})).has_value());
+    EXPECT_FALSE(Request::decode(wire_with_args(Bytes{})).has_value());
+}
+
+TEST(Request, DecodeRejectsLyingArgsLength) {
+    const Bytes data{1, 2, 3};
+    // Inner length past the args region (and far past the whole buffer).
+    for (const std::uint32_t inner : {4u, 1000u, 0xffffffffu}) {
+        EXPECT_FALSE(Request::decode(wire_with_args(args_region(6, inner, data))).has_value())
+            << "inner length " << inner;
+    }
+    // Inner length short of the region: the rest would be silently dropped.
+    EXPECT_FALSE(Request::decode(wire_with_args(args_region(6, 1, data))).has_value());
+    // The outer length lies past the end of the buffer.
+    Bytes wire = wire_with_args(args_region(6, 3, data));
+    wire[4 + 2 + 4 + 9] = 0xff;  // low byte of the args region's u32 length
+    EXPECT_FALSE(Request::decode(wire).has_value());
+    // The segment-aware decoder applies the same checks to a shared body.
+    const auto framed = [](const Bytes& wire) {
+        const Bytes body(wire.begin() + 4 + 2, wire.end());  // past the "gc" key header
+        return Request::decode_message(Payload::prefixed(Request::encode_key("gc"), body));
+    };
+    EXPECT_TRUE(framed(wire_with_args(args_region(6, 3, data))).has_value());
+    EXPECT_FALSE(framed(wire_with_args(args_region(6, 1000, data))).has_value());
+}
+
 TEST(Request, WireSizeGrowsWithPayload) {
     Request small, big;
-    small.args = Any{Bytes(10, 0)};
-    big.args = Any{Bytes(10000, 0)};
+    small.args = Bytes(10, 0);
+    big.args = Bytes(10000, 0);
     EXPECT_LT(small.wire_size() + 5000, big.wire_size());
 }
 
@@ -131,12 +158,12 @@ TEST(Orb, OnewayInvocationReachesServant) {
     RecordingServant servant;
     const ObjectRef ref = b.activate("svc", &servant);
 
-    a.invoke(ref, "ping", Any{"payload"});
+    a.invoke(ref, "ping", bytes_of("payload"));
     w.sim.run();
 
     ASSERT_EQ(servant.requests.size(), 1u);
     EXPECT_EQ(servant.requests[0].operation, "ping");
-    EXPECT_EQ(servant.requests[0].args.as<std::string>(), "payload");
+    EXPECT_EQ(string_of(servant.requests[0].args), "payload");
     EXPECT_EQ(servant.requests[0].sender, a.endpoint());
     EXPECT_EQ(a.requests_sent(), 1u);
     EXPECT_EQ(b.requests_dispatched(), 1u);
@@ -146,7 +173,7 @@ TEST(Orb, UnknownObjectKeyIsIgnored) {
     TestWorld w;
     Orb& a = w.domain.create_orb(NodeId{1});
     Orb& b = w.domain.create_orb(NodeId{2});
-    a.invoke(ObjectRef{b.endpoint(), "ghost"}, "ping", Any{});
+    a.invoke(ObjectRef{b.endpoint(), "ghost"}, "ping", Bytes{});
     w.sim.run();
     EXPECT_EQ(b.requests_dispatched(), 0u);
 }
@@ -158,7 +185,7 @@ TEST(Orb, DeactivateStopsDispatch) {
     RecordingServant servant;
     const ObjectRef ref = b.activate("svc", &servant);
     b.deactivate("svc");
-    a.invoke(ref, "ping", Any{});
+    a.invoke(ref, "ping", Bytes{});
     w.sim.run();
     EXPECT_TRUE(servant.requests.empty());
 }
@@ -168,24 +195,12 @@ TEST(Orb, SelfInvocationWorks) {
     Orb& a = w.domain.create_orb(NodeId{1});
     RecordingServant servant;
     const ObjectRef ref = a.activate("svc", &servant);
-    a.invoke(ref, "op", Any{std::int64_t{1}});
+    a.invoke(ref, "op", Bytes{1});
     w.sim.run();
     EXPECT_EQ(servant.requests.size(), 1u);
 }
 
-class FanOutInterceptor : public ClientInterceptor {
-public:
-    explicit FanOutInterceptor(ObjectRef extra) : extra_(std::move(extra)) {}
-    void send_request(Request& request, std::vector<ObjectRef>& targets) override {
-        request.contexts["tag"] = bytes_of("seen");
-        targets.push_back(extra_);
-    }
-
-private:
-    ObjectRef extra_;
-};
-
-TEST(Orb, ClientInterceptorCanFanOutAndTag) {
+TEST(Orb, FanoutCopiesShareOneRequest) {
     TestWorld w;
     Orb& client = w.domain.create_orb(NodeId{1});
     Orb& s1 = w.domain.create_orb(NodeId{2});
@@ -195,42 +210,15 @@ TEST(Orb, ClientInterceptorCanFanOutAndTag) {
     const ObjectRef ra = s1.activate("svc", &a);
     const ObjectRef rb = s2.activate("svc", &b);
 
-    client.add_client_interceptor(std::make_shared<FanOutInterceptor>(rb));
-    client.invoke(ra, "op", Any{});
+    client.invoke_fanout({ra, rb}, "op", bytes_of("both"));
     w.sim.run();
 
     ASSERT_EQ(a.requests.size(), 1u);
     ASSERT_EQ(b.requests.size(), 1u);
-    EXPECT_EQ(string_of(a.requests[0].contexts.at("tag")), "seen");
+    EXPECT_EQ(string_of(b.requests[0].args), "both");
     // Both copies share the request id (needed for dedup downstream).
     EXPECT_EQ(a.requests[0].request_id, b.requests[0].request_id);
-}
-
-class SuppressInterceptor : public ServerInterceptor {
-public:
-    bool receive_request(Request& request) override {
-        ++seen;
-        return request.operation != "blocked";
-    }
-    int seen{0};
-};
-
-TEST(Orb, ServerInterceptorCanSuppress) {
-    TestWorld w;
-    Orb& client = w.domain.create_orb(NodeId{1});
-    Orb& server = w.domain.create_orb(NodeId{2});
-    RecordingServant servant;
-    const ObjectRef ref = server.activate("svc", &servant);
-    auto interceptor = std::make_shared<SuppressInterceptor>();
-    server.add_server_interceptor(interceptor);
-
-    client.invoke(ref, "blocked", Any{});
-    client.invoke(ref, "allowed", Any{});
-    w.sim.run();
-
-    EXPECT_EQ(interceptor->seen, 2);
-    ASSERT_EQ(servant.requests.size(), 1u);
-    EXPECT_EQ(servant.requests[0].operation, "allowed");
+    EXPECT_EQ(client.requests_sent(), 2u);
 }
 
 TEST(Orb, CollocatedOrbsShareNodePool) {
@@ -255,7 +243,7 @@ TEST(Orb, ThreadPoolLimitsConcurrentDispatch) {
         Orb& server = domain.create_orb(NodeId{2});
         RecordingServant servant;
         const ObjectRef ref = server.activate("svc", &servant);
-        for (int i = 0; i < 5; ++i) client.invoke(ref, "op", Any{});
+        for (int i = 0; i < 5; ++i) client.invoke(ref, "op", Bytes{});
         sim.run();
         (threads == 1 ? serialized : parallel) = sim.now();
     }

@@ -116,7 +116,7 @@ TEST(ZeroCopyPlane, OrbFanoutIsOneEncodePerMulticast) {
         }
         int count{0};
         std::string last_key;
-        orb::Any last_args;
+        Bytes last_args;
     };
 
     sim::Simulation sim;
@@ -133,14 +133,14 @@ TEST(ZeroCopyPlane, OrbFanoutIsOneEncodePerMulticast) {
 
     const int multicasts = 5;
     for (int m = 0; m < multicasts; ++m) {
-        sender.invoke_fanout(targets, "op", orb::Any{Bytes(512, 0x33)});
+        sender.invoke_fanout(targets, "op", Bytes(512, 0x33));
     }
     sim.run();
 
     for (const auto& sink : sinks) {
         EXPECT_EQ(sink.count, multicasts);
         EXPECT_EQ(sink.last_key, "sink");
-        EXPECT_EQ(sink.last_args, orb::Any{Bytes(512, 0x33)});
+        EXPECT_EQ(sink.last_args, Bytes(512, 0x33));
     }
     // One body encode per multicast — O(1), not O(n).
     EXPECT_EQ(net.payload_bodies_encoded(), static_cast<std::uint64_t>(multicasts));
@@ -155,7 +155,7 @@ TEST(RequestWire, HeaderPlusBodyEqualsFlatEncoding) {
     orb::Request req;
     req.object_key = "gc:3";
     req.operation = "multicast";
-    req.args = orb::Any{bytes_of("payload")};
+    req.args = bytes_of("payload");
     req.reply_to = orb::ObjectRef{ep(4, 5), "client"};
     req.request_id = 99;
     req.contexts["sig"] = Bytes{1, 2, 3};
@@ -165,9 +165,10 @@ TEST(RequestWire, HeaderPlusBodyEqualsFlatEncoding) {
     concat.insert(concat.end(), body.begin(), body.end());
     EXPECT_EQ(concat, req.encode());
     EXPECT_EQ(req.wire_size(), req.wire_size_sans_key() + req.object_key.size());
-    // wire_size() must agree with what encode() actually produces for the
-    // variable-size fields (the cost model depends on it).
-    EXPECT_EQ(req.args.encoded_size(), req.args.encode().size());
+    // wire_size() counts the args as they go out: typecode byte, u32
+    // length and data (the cost model depends on it).
+    EXPECT_EQ(req.wire_size_sans_key(), req.operation.size() + 1 + 4 + req.args.size() +
+                                            std::string("sig").size() + 3);
 
     // A prefixed message decodes identically to the flat buffer.
     const Payload shared_body{req.encode_body()};
