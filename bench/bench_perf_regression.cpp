@@ -616,7 +616,7 @@ int main(int argc, char** argv) {
     scenario::JsonWriter w;
     w.begin_object();
     w.field("format", "failsig-bench-v1");
-    w.field("pr", "PR14");
+    w.field("pr", "PR16");
     w.field("mode", smoke ? "smoke" : "full");
     w.field("seed", seed);
     bench_crypto(w, smoke, seed);

@@ -179,12 +179,14 @@ void PbftDeployment::begin_recovery(ReplicaId at) {
 }
 
 baseline::PbftReplica& PbftDeployment::replica(ReplicaId r) {
-    return dynamic_cast<baseline::PbftReplica&>(replicas_.at(r)->service());
+    return dynamic_cast<baseline::PbftReplica&>(host(r).service());
 }
 
 const baseline::PbftReplica& PbftDeployment::replica(ReplicaId r) const {
     return const_cast<PbftDeployment*>(this)->replica(r);
 }
+
+fs::PlainHost& PbftDeployment::host(ReplicaId r) { return *replicas_.at(r); }
 
 std::vector<RecoveryStep> PbftDeployment::recover_steps(int member) {
     // The replica restarts with an empty log and pulls a stable checkpoint

@@ -39,6 +39,8 @@ public:
     // --- inspection -------------------------------------------------------
     [[nodiscard]] baseline::PbftReplica& replica(baseline::ReplicaId r);
     [[nodiscard]] const baseline::PbftReplica& replica(baseline::ReplicaId r) const;
+    /// The plain host running replica `r` (its input queue and ORB servant).
+    [[nodiscard]] fs::PlainHost& host(baseline::ReplicaId r);
     /// Starts the state-transfer rejoin at `at`: the replica wipes its log
     /// and asks its peers for a stable snapshot + committed suffix.
     void begin_recovery(baseline::ReplicaId at);

@@ -416,15 +416,16 @@ ScenarioReport run_scenario(const Scenario& scenario) {
     const auto d = deploy::make_deployment(scenario.system, spec);
 
     // Schedule perturbation: a non-zero tie_break_seed permutes same-time
-    // events with a key that is a pure hash of (seed, event id) — the run
-    // stays a pure function of the Scenario, it just explores a different
-    // (equally network-legal) interleaving. Events the deployment scheduled
-    // during construction keep their FIFO keys; everything the workload and
-    // timeline schedule from here on is subject to the policy.
+    // events with a key that is a pure hash of (seed, scheduling sequence
+    // number) — the run stays a pure function of the Scenario, it just
+    // explores a different (equally network-legal) interleaving. Events the
+    // deployment scheduled during construction keep their FIFO keys;
+    // everything the workload and timeline schedule from here on is subject
+    // to the policy.
     if (scenario.tie_break_seed != 0) {
         d->sim().set_tie_break(
-            [seed = scenario.tie_break_seed](sim::Simulation::EventId id, TimePoint) {
-                std::uint64_t state = seed ^ (id * 0x9e3779b97f4a7c15ULL);
+            [seed = scenario.tie_break_seed](std::uint64_t seq, TimePoint) {
+                std::uint64_t state = seed ^ (seq * 0x9e3779b97f4a7c15ULL);
                 return splitmix64(state);
             });
     }

@@ -2,21 +2,42 @@
 
 #include <algorithm>
 
+#include "common/result.hpp"
+
 namespace failsig::sim {
 
 Simulation::EventId Simulation::schedule_at(TimePoint at, EventFn fn) {
-    const EventId id = next_id_++;
+    const std::uint64_t seq = next_seq_++;
+    ensure(seq <= kMaxSeq, "simulation: event sequence numbers exhausted");
+    std::uint64_t slot;
+    if (free_slots_.empty()) {
+        slot = slots_.size();
+        ensure(slot <= kSlotMask, "simulation: too many pending events");
+        slots_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    const EventId id = (seq << kSlotBits) | slot;
+    slots_[slot] = Slot{id, std::move(fn)};
     const TimePoint fire_at = std::max(at, now_);
-    const std::uint64_t tie = tie_break_ ? tie_break_(id, fire_at) : id;
+    const std::uint64_t tie = tie_break_ ? tie_break_(seq, fire_at) : seq;
     heap_.push_back(Event{fire_at, id, tie});
     max_footprint_ = std::max(max_footprint_, heap_.size());
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    handlers_.emplace(id, std::move(fn));
     return id;
 }
 
+void Simulation::release(std::uint64_t slot) {
+    slots_[slot].id = 0;
+    slots_[slot].fn = nullptr;
+    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+}
+
 bool Simulation::cancel(EventId id) {
-    if (handlers_.erase(id) == 0) return false;
+    const auto slot = slot_of(id);
+    if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) return false;
+    release(slot);
     ++cancelled_in_heap_;
     maybe_compact();
     return true;
@@ -45,9 +66,11 @@ bool Simulation::step() {
             --cancelled_in_heap_;
             continue;
         }
-        const auto handler_it = handlers_.find(ev.id);
-        EventFn fn = std::move(handler_it->second);
-        handlers_.erase(handler_it);
+        // Move the handler out before freeing its slot: it may schedule
+        // events, which can reuse the slot or grow the slot table.
+        const auto slot = slot_of(ev.id);
+        EventFn fn = std::move(slots_[slot].fn);
+        release(slot);
         now_ = ev.at;
         ++events_fired_;
         fn();

@@ -62,6 +62,24 @@ TEST(KvStore, DigestIsAPureFunctionOfTheAppliedSequence) {
     EXPECT_NE(c.digest(), a.digest());
 }
 
+TEST(KvStore, DigestAndKeySlotsMatchPublishedFnv1a64) {
+    // Absolute values, not a comparison of two stores: the digest is FNV-1a
+    // 64 chained over every applied request from the offset basis, and the
+    // key slot is FNV-1a 64 of the request alone, mod the key space. The
+    // constants are the published FNV-1a 64 test vectors.
+    app::KvStore store;
+    store.apply(bytes_of("a"));
+    EXPECT_EQ(store.digest(), 0xaf63dc4c8601ec8cull);  // fnv1a("a")
+    EXPECT_EQ(store.read(12), 0xaf63dc4c8601ec8cull);  // 0x8c % 64 == 12
+
+    store.apply(bytes_of("foobar"));
+    EXPECT_EQ(store.digest(), 0x66bcfebbdb34e221ull);  // fnv1a("afoobar")
+    // fnv1a("foobar") == 0x85944171f73967e8, and 0xe8 % 64 == 40.
+    EXPECT_EQ(store.read(40), 0x66bcfebbdb34e221ull);
+    EXPECT_EQ(store.read(12), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(store.applied(), 2u);
+}
+
 TEST(KvStore, BatchFramesUnbatchToTheIndividualRequests) {
     std::vector<Bytes> requests;
     for (std::uint32_t i = 0; i < 5; ++i) requests.push_back(request_body(2, i));

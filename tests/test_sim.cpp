@@ -148,6 +148,91 @@ TEST(Simulation, InterleavedCancelAndFireStaysConsistent) {
     EXPECT_FALSE(sim.cancel(ids[1]));  // already fired
 }
 
+TEST(Simulation, StaleHandleNeverCancelsTheSlotsNewTenant) {
+    // Handler storage is reused once an event fires or is cancelled; the old
+    // handle must not reach the event that reuses it.
+    Simulation sim;
+    const auto first = sim.schedule_at(10, [] {});
+    ASSERT_EQ(sim.run(), 1u);
+    bool fired = false;
+    const auto second = sim.schedule_at(20, [&] { fired = true; });
+    EXPECT_EQ(sim.slot_footprint(), 1u) << "the fired event's slot is reused";
+    EXPECT_NE(first, second);
+    EXPECT_FALSE(sim.cancel(first));
+    EXPECT_EQ(sim.pending(), 1u);
+
+    // Same after a cancel: the cancelled handle stays dead.
+    const auto third = sim.schedule_at(30, [] {});
+    EXPECT_TRUE(sim.cancel(third));
+    const auto fourth = sim.schedule_at(40, [] {});
+    EXPECT_FALSE(sim.cancel(third));
+    EXPECT_NE(third, fourth);
+    EXPECT_FALSE(sim.cancel(0)) << "0 never names an event";
+
+    EXPECT_EQ(sim.run(), 2u);
+    EXPECT_TRUE(fired);
+}
+
+TEST(Simulation, TieBreakPolicySeesTheSchedulingSequence) {
+    // Policies key on the plain 1, 2, 3, ... count of schedule calls, not on
+    // the handle — whatever the handle encodes, and however slots are
+    // reused, explorer schedules stay what they were.
+    Simulation sim;
+    std::vector<std::uint64_t> seen;
+    sim.set_tie_break([&seen](std::uint64_t seq, TimePoint) {
+        seen.push_back(seq);
+        return seq;
+    });
+    sim.schedule_at(5, [] {});
+    const auto cancelled = sim.schedule_at(5, [] {});
+    sim.cancel(cancelled);
+    sim.schedule_at(5, [&sim] { sim.schedule_after(1, [] {}); });
+    sim.run();
+    sim.schedule_at(50, [] {});
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(Simulation, PendingIsExactAcrossFireAndCancel) {
+    Simulation sim;
+    EXPECT_TRUE(sim.empty());
+    std::vector<Simulation::EventId> ids;
+    for (int i = 0; i < 6; ++i) ids.push_back(sim.schedule_at(10 * (i + 1), [] {}));
+    EXPECT_EQ(sim.pending(), 6u);
+    EXPECT_TRUE(sim.cancel(ids[2]));
+    EXPECT_FALSE(sim.cancel(ids[2]));
+    EXPECT_EQ(sim.pending(), 5u);
+    ASSERT_TRUE(sim.step());  // fires ids[0]
+    EXPECT_EQ(sim.pending(), 4u);
+    EXPECT_FALSE(sim.cancel(ids[0]));
+    EXPECT_EQ(sim.pending(), 4u);
+    std::size_t seen_inside = 99;
+    sim.schedule_at(15, [&] { seen_inside = sim.pending(); });
+    EXPECT_EQ(sim.pending(), 5u);
+    ASSERT_TRUE(sim.step());  // fires the t=15 event: it no longer counts
+    EXPECT_EQ(seen_inside, 4u);
+    EXPECT_EQ(sim.run_until(35), 1u);  // ids[1]; ids[2] was cancelled
+    EXPECT_EQ(sim.pending(), 3u);
+    EXPECT_EQ(sim.run(), 3u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulation, SlotTableIsBoundedByThePendingHighWaterMark) {
+    // 10k schedule -> fire cycles with never more than 8 events pending
+    // must not grow the handler table past 8 entries.
+    Simulation sim;
+    std::size_t fired = 0;
+    for (int i = 0; i < 8; ++i) sim.schedule_after(1 + i, [&fired] { ++fired; });
+    for (int cycle = 0; cycle < 10'000; ++cycle) {
+        ASSERT_TRUE(sim.step());
+        EXPECT_LE(sim.pending(), 7u);
+        sim.schedule_after(1 + cycle % 8, [&fired] { ++fired; });
+    }
+    sim.run();
+    EXPECT_EQ(fired, 10'008u);
+    EXPECT_LE(sim.slot_footprint(), 8u);
+}
+
 // --- tie-break policy seam ---------------------------------------------------
 
 TEST(Simulation, DefaultTieBreakIsFifoRegression) {
@@ -176,7 +261,7 @@ TEST(Simulation, TieBreakPolicyPermutesEqualTimestampsOnly) {
     // A reversing policy flips the order among equal times; distinct
     // timestamps still fire in time order regardless of policy.
     Simulation sim;
-    sim.set_tie_break([](Simulation::EventId id, TimePoint) { return ~id; });
+    sim.set_tie_break([](std::uint64_t seq, TimePoint) { return ~seq; });
     std::vector<int> order;
     for (int i = 0; i < 5; ++i) {
         sim.schedule_at(10, [&order, i] { order.push_back(i); });
@@ -195,12 +280,12 @@ TEST(Simulation, TieBreakPolicyAppliesFromInstallationOnward) {
     for (int i = 0; i < 3; ++i) {
         sim.schedule_at(10, [&order, i] { order.push_back(i); });
     }
-    sim.set_tie_break([](Simulation::EventId id, TimePoint) { return ~id; });
+    sim.set_tie_break([](std::uint64_t seq, TimePoint) { return ~seq; });
     for (int i = 3; i < 6; ++i) {
         sim.schedule_at(10, [&order, i] { order.push_back(i); });
     }
     sim.run();
-    // Pre-policy events keep small FIFO keys (ids 1..3) and fire first, in
+    // Pre-policy events keep small FIFO keys (sequence 1..3) and fire first, in
     // order; post-policy events carry large reversed keys and fire reversed.
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 5, 4, 3}));
 }
@@ -210,8 +295,8 @@ TEST(Simulation, SeededTieBreakIsDeterministic) {
         Simulation sim;
         // The same keying the scenario runner installs for a non-zero
         // Scenario::tie_break_seed.
-        sim.set_tie_break([seed](Simulation::EventId id, TimePoint) {
-            std::uint64_t state = seed ^ (id * 0x9e3779b97f4a7c15ULL);
+        sim.set_tie_break([seed](std::uint64_t seq, TimePoint) {
+            std::uint64_t state = seed ^ (seq * 0x9e3779b97f4a7c15ULL);
             return splitmix64(state);
         });
         std::vector<int> order;
