@@ -1,8 +1,8 @@
 // Perf-regression harness: the recorded performance trajectory of this repo.
 //
 // Runs (a) crypto microbenches — RSA sign/verify, HMAC tags, the pairwise
-// link-MAC session authenticator, and SignedEnvelope build/verify with the
-// incremental signed-region builder and the KeyService verify memo —
+// link-MAC session authenticator, and SignedEnvelope build/verify with
+// streamed signed regions and the KeyService verify memo —
 // (b) a zero-copy message-plane microbench plus pinned sweep cells over all
 // three protocol stacks, reporting real wall-clock per cell next to the
 // SimNetwork copy counters (bytes actually materialized vs logical wire
@@ -99,8 +99,9 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     const double cold_ms = now_ms() - cold_start;
     const auto [memo_ms, memo_ops] = timed(env_iters, [&] { (void)env.verify_chain(cold); });
 
-    // Long chains exercise the incremental signed-region builder (the old
-    // per-call serializer made this O(k²) in re-serialized bytes).
+    // Long chains exercise the streamed signed regions (the old per-call
+    // serializer made this O(k²) in re-serialized bytes; a streamed region
+    // copies only its tail of prior blocks).
     const int chain_len = 12;
     crypto::KeyService hmac_keys(crypto::KeyService::Backend::kHmac, 512, seed);
     for (int i = 0; i < chain_len; ++i) hmac_keys.register_principal("P" + std::to_string(i));
@@ -111,6 +112,22 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
             chain.add_signature(hmac_keys.signer("P" + std::to_string(i)));
         }
     });
+
+    // FS-NewTOP's envelopes at the size its relayed outputs reach: an HMAC
+    // double-signed 8 KiB envelope re-verified through the memo (every hop
+    // after the first), and one HMAC signature on a fresh 8 KiB envelope.
+    const Bytes kib8(8 * 1024, 0xa5);
+    crypto::SignedEnvelope env8{kib8};
+    env8.add_signature(hmac_keys.signer("P0"));
+    env8.add_signature(hmac_keys.signer("P1"));
+    const bool env8_ok = env8.verify_chain(hmac_keys);
+    const int env8_iters = smoke ? 2000 : 20000;
+    const double memo8_ops =
+        timed(env8_iters, [&] { (void)env8.verify_chain(hmac_keys); }).second;
+    const double sign8_ops = timed(env8_iters, [&] {
+                                 crypto::SignedEnvelope fresh{kib8};
+                                 fresh.add_signature(hmac_keys.signer("P0"));
+                             }).second;
 
     // The SHA-256 compression kernel underneath every HMAC: which one this
     // CPU runs, and what it does on a 1 KiB message.
@@ -130,6 +147,8 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     w.field("envelope_verify_cold_ok", cold_ok);
     w.field("envelope_verify_memo_ops_s", memo_ops);
     w.field("envelope_chain12_sign_ops_s", chain_ops);
+    w.field("envelope_verify_memo_8k_ops_s", env8_ok ? memo8_ops : 0.0);
+    w.field("envelope_sign_8k_ops_s", sign8_ops);
     w.field("keyservice_verify_ops", cold.verify_ops());
     w.field("keyservice_verify_cache_hits", cold.verify_cache_hits());
     // Informational (not in the gated baseline): the memo's byte budget
@@ -138,10 +157,10 @@ void bench_crypto(scenario::JsonWriter& w, bool smoke, std::uint64_t seed) {
     w.end_object();
     std::printf("crypto: sha256 kernel %s, 1 KiB hash %.0f/s | rsa sign %.0f/s verify %.0f/s | "
                 "link-MAC tag %.0f/s | envelope memo-verify %.0f/s (real verifies: %llu, "
-                "memo hits: %llu)\n",
+                "memo hits: %llu) | 8 KiB envelope memo-verify %.0f/s sign %.0f/s\n",
                 crypto::Sha256::kernel_name(), sha_ops, sign_ops, verify_ops_s, mac_ops, memo_ops,
                 static_cast<unsigned long long>(cold.verify_ops()),
-                static_cast<unsigned long long>(cold.verify_cache_hits()));
+                static_cast<unsigned long long>(cold.verify_cache_hits()), memo8_ops, sign8_ops);
     (void)sign_ms;
     (void)verify_ms;
     (void)mac_ms;
@@ -616,7 +635,7 @@ int main(int argc, char** argv) {
     scenario::JsonWriter w;
     w.begin_object();
     w.field("format", "failsig-bench-v1");
-    w.field("pr", "PR16");
+    w.field("pr", "PR17");
     w.field("mode", smoke ? "smoke" : "full");
     w.field("seed", seed);
     bench_crypto(w, smoke, seed);

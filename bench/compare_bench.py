@@ -38,6 +38,8 @@ TIMING_KEYS = {
     "envelope_verify_cold_ms",
     "envelope_verify_memo_ops_s",
     "envelope_chain12_sign_ops_s",
+    "envelope_verify_memo_8k_ops_s",
+    "envelope_sign_8k_ops_s",
     # The SHA-256 kernel's 1 KiB hash rate; which kernel ran (sha256_kernel)
     # is machine-dependent too and stays out of the gated baseline.
     "sha256_1k_ops_s",

@@ -18,6 +18,11 @@ namespace failsig {
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// A byte string given as consecutive parts, read as their concatenation —
+/// lets a caller hash or compare a framed region without copying it into
+/// one buffer first.
+using ByteParts = std::span<const std::span<const std::uint8_t>>;
+
 /// Renders `data` as lowercase hex.
 std::string to_hex(std::span<const std::uint8_t> data);
 

@@ -1,52 +1,91 @@
 #include "crypto/envelope.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace failsig::crypto {
 
 namespace {
-/// Offset of the patched u32 index field: right after bytes(payload).
-std::size_t index_offset(const Bytes& payload) { return 4 + payload.size(); }
-}  // namespace
 
-void SignedEnvelope::ensure_scratch() const {
-    if (scratch_.empty()) {
-        ByteWriter w;
-        w.reserve(index_offset(payload_) + 4);
-        w.bytes(payload_);
-        w.u32(0);  // placeholder for the region index, patched per view
-        scratch_ = w.take();
+std::uint8_t* put_u32(std::uint8_t* out, std::size_t v) {
+    for (std::size_t i = 0; i < 4; ++i) *out++ = static_cast<std::uint8_t>(v >> (8 * i));
+    return out;
+}
+
+/// The region signature block k covers,
+///   bytes(payload) ++ u32(k) ++ block_0 ++ ... ++ block_{k-1}
+/// (each block its length-prefixed principal and signature), handed to the
+/// signer and the verify memo as three parts: the payload's length prefix,
+/// a view of the payload and a tail holding everything after it. Nothing
+/// copies the payload. The tail is built on the stack; only a tail past
+/// kInlineTail bytes (a long chain, or RSA keys far above the default
+/// size) goes to the heap.
+class SignedRegion {
+public:
+    SignedRegion(std::span<const std::uint8_t> payload, std::span<const SignatureBlock> before) {
+        put_u32(length_.data(), payload.size());
+        std::size_t tail_size = 4;
+        for (const auto& block : before) {
+            tail_size += 8 + block.principal.size() + block.signature.size();
+        }
+        std::uint8_t* tail = inline_tail_.data();
+        if (tail_size > kInlineTail) {
+            heap_tail_.resize(tail_size);
+            tail = heap_tail_.data();
+        }
+        std::uint8_t* out = put_u32(tail, before.size());
+        for (const auto& block : before) {
+            out = put_u32(out, block.principal.size());
+            out = std::copy(block.principal.begin(), block.principal.end(), out);
+            out = put_u32(out, block.signature.size());
+            out = std::copy(block.signature.begin(), block.signature.end(), out);
+        }
+        parts_ = {std::span<const std::uint8_t>(length_), payload,
+                  std::span<const std::uint8_t>(tail, tail_size)};
     }
-    // Append any signature blocks not yet materialized (new signatures, or
-    // an envelope freshly built by decode()).
-    while (scratch_end_.size() < signatures_.size()) {
-        const auto& block = signatures_[scratch_end_.size()];
-        ByteWriter w(std::move(scratch_));
-        w.reserve(w.size() + 8 + block.principal.size() + block.signature.size());
+    // parts_ points into this object.
+    SignedRegion(const SignedRegion&) = delete;
+    SignedRegion& operator=(const SignedRegion&) = delete;
+
+    [[nodiscard]] ByteParts parts() const { return parts_; }
+
+private:
+    static constexpr std::size_t kInlineTail = 256;
+
+    std::array<std::uint8_t, 4> length_{};
+    std::array<std::uint8_t, kInlineTail> inline_tail_{};
+    Bytes heap_tail_;
+    std::array<std::span<const std::uint8_t>, 3> parts_{};
+};
+
+Bytes encode_wire(std::span<const std::uint8_t> payload, std::span<const SignatureBlock> blocks) {
+    ByteWriter w;
+    std::size_t size = 8 + payload.size();
+    for (const auto& block : blocks) {
+        size += 8 + block.principal.size() + block.signature.size();
+    }
+    w.reserve(size);
+    w.bytes(payload);
+    w.u32(static_cast<std::uint32_t>(blocks.size()));
+    for (const auto& block : blocks) {
         w.str(block.principal);
         w.bytes(block.signature);
-        scratch_ = w.take();
-        scratch_end_.push_back(scratch_.size());
     }
+    return w.take();
 }
 
-std::span<const std::uint8_t> SignedEnvelope::region_view(std::size_t index) const {
-    ensure_scratch();
-    const std::size_t pos = index_offset(payload_);
-    for (std::size_t i = 0; i < 4; ++i) {
-        scratch_[pos + i] = static_cast<std::uint8_t>(index >> (8 * i));
-    }
-    const std::size_t len = index == 0 ? pos + 4 : scratch_end_[index - 1];
-    return std::span<const std::uint8_t>(scratch_).first(len);
-}
+}  // namespace
 
 void SignedEnvelope::add_signature(const Signer& signer) {
-    const auto region = region_view(signatures_.size());
-    signatures_.push_back(SignatureBlock{signer.principal(), signer.sign(region)});
+    const SignedRegion region(payload_, signatures_);
+    signatures_.push_back(SignatureBlock{signer.principal(), signer.sign(region.parts())});
 }
 
 bool SignedEnvelope::verify_chain(const KeyService& keys) const {
     for (std::size_t i = 0; i < signatures_.size(); ++i) {
         const auto& block = signatures_[i];
-        if (!keys.verify_cached(block.principal, region_view(i), block.signature)) return false;
+        const SignedRegion region(payload_, std::span(signatures_).first(i));
+        if (!keys.verify_cached(block.principal, region.parts(), block.signature)) return false;
     }
     return true;
 }
@@ -60,20 +99,12 @@ bool SignedEnvelope::is_valid_double_signed(const KeyService& keys, const std::s
     return order_ok && verify_chain(keys);
 }
 
-Bytes SignedEnvelope::encode() const {
-    ByteWriter w;
-    std::size_t size = 8 + payload_.size();
-    for (const auto& block : signatures_) {
-        size += 8 + block.principal.size() + block.signature.size();
-    }
-    w.reserve(size);
-    w.bytes(payload_);
-    w.u32(static_cast<std::uint32_t>(signatures_.size()));
-    for (const auto& block : signatures_) {
-        w.str(block.principal);
-        w.bytes(block.signature);
-    }
-    return w.take();
+Bytes SignedEnvelope::encode() const { return encode_wire(payload_, signatures_); }
+
+Bytes SignedEnvelope::encode_signed(std::span<const std::uint8_t> payload, const Signer& signer) {
+    const SignedRegion region(payload, {});
+    const SignatureBlock block{signer.principal(), signer.sign(region.parts())};
+    return encode_wire(payload, std::span(&block, 1));
 }
 
 Result<SignedEnvelope> SignedEnvelope::decode(std::span<const std::uint8_t> data) {

@@ -30,24 +30,6 @@ public:
     SignedEnvelope() = default;
     explicit SignedEnvelope(Bytes payload) : payload_(std::move(payload)) {}
 
-    // Copies drop the signed-region scratch cache (it is a pure
-    // acceleration structure the copy would rebuild on first use):
-    // envelopes are copied on hot paths (ICMP/ECMP pools, countersign
-    // lambdas) far more often than a copy re-verifies. Moves keep it.
-    SignedEnvelope(const SignedEnvelope& other)
-        : payload_(other.payload_), signatures_(other.signatures_) {}
-    SignedEnvelope& operator=(const SignedEnvelope& other) {
-        if (this != &other) {
-            payload_ = other.payload_;
-            signatures_ = other.signatures_;
-            scratch_.clear();
-            scratch_end_.clear();
-        }
-        return *this;
-    }
-    SignedEnvelope(SignedEnvelope&&) = default;
-    SignedEnvelope& operator=(SignedEnvelope&&) = default;
-
     [[nodiscard]] const Bytes& payload() const { return payload_; }
     [[nodiscard]] const std::vector<SignatureBlock>& signatures() const { return signatures_; }
 
@@ -67,22 +49,17 @@ public:
     [[nodiscard]] Bytes encode() const;
     static Result<SignedEnvelope> decode(std::span<const std::uint8_t> data);
 
-private:
-    // Incremental signed-region builder. The region covered by block k is
-    //   bytes(payload) ++ u32(k) ++ block_0 ++ ... ++ block_{k-1}
-    // — the layout the original per-call serializer produced. Regions are
-    // nested prefixes except for the u32(k) in the middle, so one growing
-    // scratch buffer serves them all: sign/verify of block k patches the
-    // 4 index bytes in place and takes a length-k prefix view, turning the
-    // old O(k²) re-serialization into O(1) amortized per operation.
-    void ensure_scratch() const;
-    [[nodiscard]] std::span<const std::uint8_t> region_view(std::size_t index) const;
+    /// The wire image of an envelope carrying `payload` and one signature
+    /// block by `signer` — what SignedEnvelope(payload), add_signature and
+    /// encode() produce, without copying the payload into an envelope.
+    static Bytes encode_signed(std::span<const std::uint8_t> payload, const Signer& signer);
 
+private:
+    // Block k signs bytes(payload) ++ u32(k) ++ block_0 ++ ... ++ block_{k-1};
+    // sign and verify stream that region to the key service in parts, so
+    // the envelope keeps no copy of it.
     Bytes payload_;
     std::vector<SignatureBlock> signatures_;
-    mutable Bytes scratch_;
-    /// scratch_ length that covers blocks [0, k) for each k appended so far.
-    mutable std::vector<std::size_t> scratch_end_;
 };
 
 }  // namespace failsig::crypto

@@ -27,8 +27,13 @@ HmacKey<Hasher>::HmacKey(std::span<const std::uint8_t> key) {
 
 template <typename Hasher>
 typename HmacKey<Hasher>::Tag HmacKey<Hasher>::tag(std::span<const std::uint8_t> data) const {
+    return tag(ByteParts(&data, 1));
+}
+
+template <typename Hasher>
+typename HmacKey<Hasher>::Tag HmacKey<Hasher>::tag(ByteParts parts) const {
     Hasher inner = inner_;
-    inner.update(data);
+    for (const auto part : parts) inner.update(part);
     const auto inner_digest = inner.finish();
 
     Hasher outer = outer_;

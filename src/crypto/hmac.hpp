@@ -25,6 +25,9 @@ public:
     explicit HmacKey(std::span<const std::uint8_t> key);
 
     [[nodiscard]] Tag tag(std::span<const std::uint8_t> data) const;
+    /// Tag of the concatenation of `parts`, fed to the inner hasher one part
+    /// at a time — the same tag as over one joined buffer, with no join.
+    [[nodiscard]] Tag tag(ByteParts parts) const;
 
 private:
     Hasher inner_;

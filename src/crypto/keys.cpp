@@ -1,6 +1,7 @@
 #include "crypto/keys.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "crypto/hmac.hpp"
@@ -9,13 +10,23 @@ namespace failsig::crypto {
 
 namespace {
 
+/// The parts joined into one buffer — RSA is off the hot path.
+Bytes joined(ByteParts parts) {
+    std::size_t size = 0;
+    for (const auto part : parts) size += part.size();
+    Bytes out;
+    out.reserve(size);
+    for (const auto part : parts) out.insert(out.end(), part.begin(), part.end());
+    return out;
+}
+
 class RsaSigner final : public Signer {
 public:
     RsaSigner(std::string principal, RsaPrivateKey key)
         : principal_(std::move(principal)), key_(std::move(key)) {}
 
-    [[nodiscard]] Bytes sign(std::span<const std::uint8_t> message) const override {
-        return rsa_sign(key_, message, DigestAlgorithm::kMd5);
+    [[nodiscard]] Bytes sign(ByteParts message) const override {
+        return rsa_sign(key_, joined(message), DigestAlgorithm::kMd5);
     }
     [[nodiscard]] const std::string& principal() const override { return principal_; }
 
@@ -28,9 +39,9 @@ class RsaVerifier final : public Verifier {
 public:
     explicit RsaVerifier(RsaPublicKey key) : key_(std::move(key)) {}
 
-    [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
+    [[nodiscard]] bool verify(ByteParts message,
                               std::span<const std::uint8_t> signature) const override {
-        return rsa_verify(key_, message, signature, DigestAlgorithm::kMd5);
+        return rsa_verify(key_, joined(message), signature, DigestAlgorithm::kMd5);
     }
 
 private:
@@ -42,7 +53,7 @@ public:
     HmacSigner(std::string principal, std::span<const std::uint8_t> key)
         : principal_(std::move(principal)), key_(key) {}
 
-    [[nodiscard]] Bytes sign(std::span<const std::uint8_t> message) const override {
+    [[nodiscard]] Bytes sign(ByteParts message) const override {
         const auto tag = key_.tag(message);
         return Bytes(tag.begin(), tag.end());
     }
@@ -57,7 +68,7 @@ class HmacVerifier final : public Verifier {
 public:
     explicit HmacVerifier(std::span<const std::uint8_t> key) : key_(key) {}
 
-    [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
+    [[nodiscard]] bool verify(ByteParts message,
                               std::span<const std::uint8_t> signature) const override {
         return constant_time_equal(key_.tag(message), signature);
     }
@@ -66,19 +77,20 @@ private:
     HmacSha256Key key_;
 };
 
-// The memo key: length-prefixed message ++ length-prefixed signature (u32
-// little-endian lengths, as ByteWriter::bytes). The prefixes keep (m, s) and
-// (m', s') with m++s == m'++s' apart.
-std::string memo_key(std::span<const std::uint8_t> message,
-                     std::span<const std::uint8_t> signature) {
-    std::string key;
-    key.reserve(8 + message.size() + signature.size());
-    for (const auto part : {message, signature}) {
-        const auto len = static_cast<std::uint32_t>(part.size());
-        for (int i = 0; i < 4; ++i) key.push_back(static_cast<char>(len >> (8 * i)));
-        key.append(reinterpret_cast<const char*>(part.data()), part.size());
-    }
-    return key;
+/// A memo-key length prefix (u32 little-endian, as ByteWriter::bytes).
+std::array<char, 4> length_prefix(std::size_t n) {
+    return {static_cast<char>(n), static_cast<char>(n >> 8), static_cast<char>(n >> 16),
+            static_cast<char>(n >> 24)};
+}
+
+std::string_view chars(std::span<const std::uint8_t> bytes) {
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+std::string_view chars(const std::array<char, 4>& prefix) { return {prefix.data(), 4}; }
+
+std::size_t pair_hash(std::size_t message_size, std::string_view signature) {
+    return std::hash<std::string_view>{}(signature) ^ (message_size * 0x9e3779b97f4a7c15ULL);
 }
 
 }  // namespace
@@ -127,15 +139,44 @@ void KeyService::register_link(const std::string& a, const std::string& b) {
     entries_[name] = std::move(entry);
 }
 
-bool KeyService::verify_cached(const std::string& name, std::span<const std::uint8_t> message,
+std::size_t KeyService::PairHash::operator()(std::string_view key) const {
+    std::size_t message_size = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        message_size |= static_cast<std::size_t>(static_cast<std::uint8_t>(key[i])) << (8 * i);
+    }
+    return pair_hash(message_size, key.substr(8 + message_size));
+}
+
+std::size_t KeyService::PairHash::operator()(const PairView& pair) const {
+    return pair_hash(pair.message_size, chars(pair.signature));
+}
+
+bool KeyService::PairEqual::operator()(const PairView& pair, std::string_view key) const {
+    if (key.size() != 8 + pair.message_size + pair.signature.size()) return false;
+    const auto next = [&key](std::size_t n) {
+        const auto head = key.substr(0, n);
+        key.remove_prefix(n);
+        return head;
+    };
+    if (next(4) != chars(length_prefix(pair.message_size))) return false;
+    for (const auto part : pair.message) {
+        if (next(part.size()) != chars(part)) return false;
+    }
+    return next(4) == chars(length_prefix(pair.signature.size())) &&
+           key == chars(pair.signature);
+}
+
+bool KeyService::verify_cached(const std::string& name, ByteParts message,
                                std::span<const std::uint8_t> signature) const {
     const auto it = entries_.find(name);
     if (it == entries_.end()) return false;
     const Entry& entry = it->second;
-    std::string key = memo_key(message, signature);
+    std::size_t message_size = 0;
+    for (const auto part : message) message_size += part.size();
+    const PairView pair{message, message_size, signature};
     {
         const std::lock_guard lock(memo_mu_);
-        const auto hit = entry.memo.verdicts.find(key);
+        const auto hit = entry.memo.verdicts.find(pair);
         if (hit != entry.memo.verdicts.end()) {
             ++verify_cache_hits_;
             return hit->second;
@@ -143,18 +184,27 @@ bool KeyService::verify_cached(const std::string& name, std::span<const std::uin
         ++verify_ops_;
     }
     const bool ok = entry.verifier->verify(message, signature);
-    const std::lock_guard lock(memo_mu_);
-    remember(entry.memo, std::move(key), ok);
+    remember(entry.memo, pair, ok);
     return ok;
 }
 
-void KeyService::remember(Memo& memo, std::string key, bool ok) const {
-    // A racing thread may have verified and stored the same pair meanwhile;
-    // a pair larger than the whole budget is never stored.
-    if (key.size() > kMemoBudgetBytes || memo.verdicts.contains(key)) return;
+void KeyService::remember(Memo& memo, const PairView& pair, bool ok) const {
+    const std::size_t size = 8 + pair.message_size + pair.signature.size();
+    // A pair larger than the whole budget is never stored.
+    if (size > kMemoBudgetBytes) return;
+    std::string key;
+    key.reserve(size);
+    key.append(chars(length_prefix(pair.message_size)));
+    for (const auto part : pair.message) key.append(chars(part));
+    key.append(chars(length_prefix(pair.signature.size())));
+    key.append(chars(pair.signature));
+
+    const std::lock_guard lock(memo_mu_);
+    // A racing thread may have verified and stored the same pair meanwhile.
+    if (memo.verdicts.contains(std::string_view(key))) return;
     while (memo.bytes + key.size() > kMemoBudgetBytes) {
         memo.bytes -= memo.keys.front().size();
-        memo.verdicts.erase(memo.keys.front());
+        memo.verdicts.erase(std::string_view(memo.keys.front()));
         memo.keys.pop_front();
         ++memo_evictions_;
     }

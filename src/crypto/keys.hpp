@@ -28,7 +28,11 @@ namespace failsig::crypto {
 class Signer {
 public:
     virtual ~Signer() = default;
-    [[nodiscard]] virtual Bytes sign(std::span<const std::uint8_t> message) const = 0;
+    /// Signs the concatenation of `message`'s parts.
+    [[nodiscard]] virtual Bytes sign(ByteParts message) const = 0;
+    [[nodiscard]] Bytes sign(std::span<const std::uint8_t> message) const {
+        return sign(ByteParts(&message, 1));
+    }
     [[nodiscard]] virtual const std::string& principal() const = 0;
 };
 
@@ -36,8 +40,13 @@ public:
 class Verifier {
 public:
     virtual ~Verifier() = default;
-    [[nodiscard]] virtual bool verify(std::span<const std::uint8_t> message,
+    /// Verifies `signature` over the concatenation of `message`'s parts.
+    [[nodiscard]] virtual bool verify(ByteParts message,
                                       std::span<const std::uint8_t> signature) const = 0;
+    [[nodiscard]] bool verify(std::span<const std::uint8_t> message,
+                              std::span<const std::uint8_t> signature) const {
+        return verify(ByteParts(&message, 1), signature);
+    }
 };
 
 /// Registry of principals and their keys.
@@ -76,16 +85,23 @@ public:
     /// signature) bytes themselves: a pair that was already checked costs a
     /// hash-table lookup and one byte comparison instead of a verifier call,
     /// so a relayed double-signed envelope is verified once per principal,
-    /// not once per hop. A hit requires the whole pair to be byte-equal to
-    /// the stored one; negative verdicts are memoized too. Each principal's
-    /// memo holds at most kMemoBudgetBytes of pairs and evicts the oldest
-    /// first — an evicted pair is simply verified again. Unknown principals
-    /// verify false. Thread-safe: the memo and the counters are guarded
-    /// (every executor thread of a TCP deployment shares one KeyService);
-    /// the memo key is built and the verifier runs outside the lock.
+    /// not once per hop. The lookup reads the message in place, as parts:
+    /// the bucket hash covers only the signature and the message length,
+    /// and a hit requires the whole pair to be byte-equal to the stored one.
+    /// Negative verdicts are memoized too; the stored key (a copy of the
+    /// pair) is built only when a verdict is stored. Each principal's memo
+    /// holds at most kMemoBudgetBytes of pairs and evicts the oldest first —
+    /// an evicted pair is simply verified again. Unknown principals verify
+    /// false. Thread-safe: the memo and the counters are guarded (every
+    /// executor thread of a TCP deployment shares one KeyService); the
+    /// verifier runs and the stored key is built outside the lock.
+    [[nodiscard]] bool verify_cached(const std::string& name, ByteParts message,
+                                     std::span<const std::uint8_t> signature) const;
     [[nodiscard]] bool verify_cached(const std::string& name,
                                      std::span<const std::uint8_t> message,
-                                     std::span<const std::uint8_t> signature) const;
+                                     std::span<const std::uint8_t> signature) const {
+        return verify_cached(name, ByteParts(&message, 1), signature);
+    }
 
     /// Per-principal memo budget, in bytes of memoized (message, signature)
     /// pairs. Sized so no gated bench cell ever evicts.
@@ -112,13 +128,40 @@ public:
     [[nodiscard]] std::size_t memo_bytes(const std::string& name) const;
 
 private:
+    /// A (message, signature) pair as the caller holds it, for lookups that
+    /// copy nothing. A stored key is the same pair flattened: u32 message
+    /// length ++ message ++ u32 signature length ++ signature (little-endian
+    /// lengths, as ByteWriter::bytes), so (m, s) and (m', s') with
+    /// m ++ s == m' ++ s' stay apart.
+    struct PairView {
+        ByteParts message;
+        std::size_t message_size{0};
+        std::span<const std::uint8_t> signature;
+    };
+    /// Hashes the signature bytes and the message length — a fixed-size
+    /// slice of the pair, identical for a stored key and a PairView.
+    struct PairHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view key) const;
+        std::size_t operator()(const PairView& pair) const;
+    };
+    /// Full byte equality between stored keys and PairViews.
+    struct PairEqual {
+        using is_transparent = void;
+        bool operator()(std::string_view a, std::string_view b) const { return a == b; }
+        bool operator()(const PairView& pair, std::string_view key) const;
+        bool operator()(std::string_view key, const PairView& pair) const {
+            return (*this)(pair, key);
+        }
+    };
+
     /// Verdicts for one principal, oldest first. `verdicts` views the key
     /// strings owned by `keys`; a deque never moves its elements on
     /// push_back/pop_front, so the views stay valid until their key is
     /// evicted.
     struct Memo {
         std::deque<std::string> keys;
-        std::unordered_map<std::string_view, bool> verdicts;
+        std::unordered_map<std::string_view, bool, PairHash, PairEqual> verdicts;
         std::size_t bytes{0};
     };
 
@@ -130,9 +173,10 @@ private:
     };
 
     void make_entry(const std::string& name);
-    /// Stores `key -> ok` unless already present, evicting the oldest pairs
-    /// to stay within kMemoBudgetBytes. Caller holds memo_mu_.
-    void remember(Memo& memo, std::string key, bool ok) const;
+    /// Stores `pair -> ok` unless already present, evicting the oldest
+    /// pairs to stay within kMemoBudgetBytes. Builds the key before taking
+    /// memo_mu_.
+    void remember(Memo& memo, const PairView& pair, bool ok) const;
 
     Backend backend_;
     std::size_t rsa_bits_;

@@ -159,7 +159,8 @@ private:
     };
     struct IcmpEntry {
         FsOutput out;
-        Bytes encoded;
+        /// out's wire image, shared with the task that signs it.
+        std::shared_ptr<const Bytes> encoded;
         sim::Simulation::EventId timer{0};
         bool matched{false};
     };
@@ -179,11 +180,11 @@ private:
 
     // --- input path (Order process) --------------------------------------
     void handle_receive_new(const crypto::SignedEnvelope& env);
-    void order_input(const FsInput& input);                    // leader
-    void follower_receive_new(const FsInput& input);           // follower
+    void order_input(FsInput input);                           // leader
+    void follower_receive_new(FsInput input);                  // follower
     void handle_order(const crypto::SignedEnvelope& env);      // pair link
     void on_irmp_timeout(const std::string& uid);
-    void enqueue_ordered(std::uint64_t seq, const FsInput& input);
+    void enqueue_ordered(std::uint64_t seq, FsInput input);
 
     // --- execution ---------------------------------------------------------
     void maybe_execute();
@@ -194,7 +195,7 @@ private:
     /// production, measured locally.
     void emit_output(FsOutput record, Duration pi);
     void arm_icmp_timer(const OutputId& id, Duration pi, Duration tau);
-    void handle_single(const crypto::SignedEnvelope& env);     // pair link
+    void handle_single(crypto::SignedEnvelope env);            // pair link
     void try_match(const OutputId& id);
     void on_icmp_timeout(const OutputId& id);
 
@@ -208,7 +209,8 @@ private:
     void schedule_spontaneous_fail_signal();
 
     // --- transport helpers ----------------------------------------------------
-    void pair_send(const crypto::SignedEnvelope& env);
+    /// Sends an encoded envelope to the counterpart over the pair link.
+    void pair_send(Bytes wire);
     void raw_request(const orb::ObjectRef& target, const std::string& operation, Bytes wire);
     /// One logical request to many targets: the body is encoded once and
     /// shared; only the per-target object-key header is materialized.

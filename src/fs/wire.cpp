@@ -33,13 +33,17 @@ std::size_t FsInput::wire_size() const {
 Bytes FsInput::encode() const {
     ByteWriter w;
     w.reserve(wire_size());
+    encode_into(w);
+    return w.take();
+}
+
+void FsInput::encode_into(ByteWriter& w) const {
     w.u8(static_cast<std::uint8_t>(WireKind::kInput));
     w.str(uid);
     w.str(operation);
     w.bytes(body);
     w.str(origin_fs);
     encode_object_ref(w, origin_ref);
-    return w.take();
 }
 
 Result<FsInput> FsInput::decode(std::span<const std::uint8_t> data) {
@@ -63,14 +67,16 @@ Result<FsInput> FsInput::decode(std::span<const std::uint8_t> data) {
 
 // --- FsOrder ---------------------------------------------------------------
 
-std::size_t FsOrder::wire_size() const { return 1 + 8 + 4 + input.wire_size(); }
+Bytes FsOrder::encode() const { return encode(seq, input); }
 
-Bytes FsOrder::encode() const {
+Bytes FsOrder::encode(std::uint64_t seq, const FsInput& input) {
+    const std::size_t input_size = input.wire_size();
     ByteWriter w;
-    w.reserve(wire_size());
+    w.reserve(1 + 8 + 4 + input_size);
     w.u8(static_cast<std::uint8_t>(WireKind::kOrder));
     w.u64(seq);
-    w.bytes(input.encode());
+    w.u32(static_cast<std::uint32_t>(input_size));  // the input goes out length-prefixed
+    input.encode_into(w);
     return w.take();
 }
 
@@ -82,8 +88,7 @@ Result<FsOrder> FsOrder::decode(std::span<const std::uint8_t> data) {
         }
         FsOrder order;
         order.seq = r.u64();
-        const Bytes inner = r.bytes();
-        auto input = FsInput::decode(inner);
+        auto input = FsInput::decode(r.bytes_view());
         if (!input.has_value()) return Result<FsOrder>::err(input.error().message);
         order.input = std::move(input).value();
         if (!r.done()) return Result<FsOrder>::err("trailing bytes");

@@ -44,6 +44,8 @@ struct FsInput {
     /// Exact encoded size; hot encoders reserve() this up front.
     [[nodiscard]] std::size_t wire_size() const;
     [[nodiscard]] Bytes encode() const;
+    /// Appends exactly the bytes encode() returns.
+    void encode_into(ByteWriter& w) const;
     static Result<FsInput> decode(std::span<const std::uint8_t> data);
 
     friend bool operator==(const FsInput&, const FsInput&) = default;
@@ -53,8 +55,10 @@ struct FsOrder {
     std::uint64_t seq{0};  ///< leader-assigned order; 0 = unordered dispatch
     FsInput input;
 
-    [[nodiscard]] std::size_t wire_size() const;
     [[nodiscard]] Bytes encode() const;
+    /// The encoding of FsOrder{seq, input}, without copying `input` into a
+    /// record first.
+    [[nodiscard]] static Bytes encode(std::uint64_t seq, const FsInput& input);
     static Result<FsOrder> decode(std::span<const std::uint8_t> data);
 };
 

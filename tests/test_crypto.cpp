@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <iterator>
 #include <string>
@@ -693,6 +694,57 @@ TEST(KeyService, MemoHitNeedsByteEqualMessageAndSignature) {
     EXPECT_EQ(keys.verify_cache_hits(), 1u);
 }
 
+TEST(KeyService, MemoBucketCollisionStillComparesEveryByte) {
+    // The memo's bucket hash reads only the signature and the message
+    // length, so a forged pair that reuses a memoized signature over a
+    // same-length message lands in the genuine pair's bucket. It must miss
+    // and verify false; the genuine pair must still hit.
+    KeyService keys(KeyService::Backend::kHmac, 512, 16);
+    keys.register_principal("A");
+    Bytes msg(1024);
+    for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 7);
+    const Bytes sig = keys.signer("A").sign(msg);
+    ASSERT_TRUE(keys.verify_cached("A", msg, sig));
+
+    Bytes forged = msg;
+    forged[forged.size() / 2] ^= 0x01;
+    const auto ops = keys.verify_ops();
+    const auto hits = keys.verify_cache_hits();
+    EXPECT_FALSE(keys.verify_cached("A", forged, sig));
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+    EXPECT_EQ(keys.verify_cache_hits(), hits);
+
+    EXPECT_TRUE(keys.verify_cached("A", msg, sig));
+    EXPECT_FALSE(keys.verify_cached("A", forged, sig));  // its own verdict, memoized
+    EXPECT_EQ(keys.verify_ops(), ops + 1);
+    EXPECT_EQ(keys.verify_cache_hits(), hits + 2);
+}
+
+TEST(KeyService, MessagePartsAreTheirConcatenation) {
+    // A message handed over in parts is the same pair as the joined bytes,
+    // for the signer, the verifier and the memo alike; a split that moves
+    // bytes from the message into the signature is a different pair.
+    KeyService keys(KeyService::Backend::kHmac, 512, 17);
+    keys.register_principal("A");
+    const Bytes msg = B("a region handed over as three parts");
+    const std::span<const std::uint8_t> whole(msg);
+    const std::array<std::span<const std::uint8_t>, 4> parts{
+        whole.first(4), whole.subspan(4, 0), whole.subspan(4, 20), whole.subspan(24)};
+    const Bytes sig = keys.signer("A").sign(ByteParts(parts));
+    EXPECT_EQ(sig, keys.signer("A").sign(msg));
+    EXPECT_TRUE(keys.verifier("A").verify(ByteParts(parts), sig));
+
+    ASSERT_TRUE(keys.verify_cached("A", msg, sig));
+    EXPECT_TRUE(keys.verify_cached("A", ByteParts(parts), sig));
+    EXPECT_EQ(keys.verify_ops(), 1u);
+    EXPECT_EQ(keys.verify_cache_hits(), 1u);
+
+    Bytes longer = msg;
+    longer.push_back(sig.front());
+    EXPECT_FALSE(keys.verify_cached("A", longer, std::span(sig).subspan(1)));
+    EXPECT_EQ(keys.verify_ops(), 2u);
+}
+
 TEST(KeyService, MemoStaysWithinItsBudgetAndEvictsOldestFirst) {
     KeyService keys(KeyService::Backend::kHmac, 512, 7);
     keys.register_principal("A");
@@ -887,6 +939,55 @@ TEST(SignedEnvelope, CountersignatureCoversFirstSignature) {
     const auto grafted = SignedEnvelope::decode(w.view());
     ASSERT_TRUE(grafted.has_value());
     EXPECT_FALSE(grafted.value().verify_chain(keys));
+}
+
+TEST(SignedEnvelope, EncodeSignedMatchesAddSignatureThenEncode) {
+    KeyService keys(KeyService::Backend::kHmac, 512, 18);
+    keys.register_principal("p1");
+    const Bytes payload = B("signed straight onto the wire");
+    SignedEnvelope env(payload);
+    env.add_signature(keys.signer("p1"));
+    EXPECT_EQ(SignedEnvelope::encode_signed(payload, keys.signer("p1")), env.encode());
+}
+
+TEST(SignedEnvelope, VerifyChainIsSafeAcrossThreads) {
+    // Every executor thread of a TCP deployment verifies envelopes against
+    // one KeyService. Four threads verify one shared double-signed 8 KiB
+    // envelope (and a forged copy): each builds its signed regions on its
+    // own stack, the memo is shared. Build with -DFAILSIG_SANITIZE=thread
+    // to have a data race reported here.
+    KeyService keys(KeyService::Backend::kHmac, 512, 19);
+    keys.register_principal("Compare");
+    keys.register_principal("Compare'");
+    SignedEnvelope env(Bytes(8 * 1024, 0x5a));
+    env.add_signature(keys.signer("Compare"));
+    env.add_signature(keys.signer("Compare'"));
+    Bytes wire = env.encode();
+    wire[4 + 4096] ^= 0x01;  // one payload byte
+    const auto forged = SignedEnvelope::decode(wire);
+    ASSERT_TRUE(forged.has_value());
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 64;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (int round = 0; round < kRounds; ++round) {
+                if (!env.verify_chain(keys)) ++wrong;
+                if (!env.is_valid_double_signed(keys, "Compare'", "Compare")) ++wrong;
+                if (forged.value().verify_chain(keys)) ++wrong;
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+
+    EXPECT_EQ(wrong.load(), 0);
+    // Two regions per genuine chain walk, one for the forged copy (its first
+    // block already fails).
+    EXPECT_EQ(keys.verify_ops() + keys.verify_cache_hits(), 5ULL * kThreads * kRounds);
+    EXPECT_GE(keys.verify_ops(), 3u);
+    EXPECT_LE(keys.verify_ops(), 3u * kThreads);
 }
 
 TEST(SignedEnvelope, DecodeRejectsGarbage) {

@@ -128,6 +128,37 @@ TEST(FsWire, OrderRoundTrip) {
     EXPECT_EQ(decoded.value().input, order.input);
 }
 
+TEST(FsWire, OrderGoldenWireImage) {
+    // Byte layout pinned against the build that encoded the input into a
+    // temporary buffer and copied it in: kind 2, u64 seq, then the FsInput
+    // image behind its u32 length.
+    FsOrder order;
+    order.seq = 0x0102030405060708ULL;
+    order.input.uid = "client:c:7";
+    order.input.operation = "apply";
+    order.input.body = Bytes{0xde, 0xad, 0xbe, 0xef};
+    order.input.origin_fs = "gc1";
+    order.input.origin_ref = orb::ObjectRef{{NodeId{3}, PortId{9}}, "cli"};
+    const std::string input_image =
+        "01"                                  // kind: FsInput
+        "0a000000636c69656e743a633a37"        // uid
+        "050000006170706c79"                  // operation
+        "04000000deadbeef"                    // body
+        "03000000676331"                      // origin_fs
+        "030000000900000003000000636c69";     // origin_ref: node, port, key
+    const std::string image = "02"            // kind: FsOrder
+                              "0807060504030201"  // seq
+                              "36000000" +        // input length (54)
+                              input_image;
+    EXPECT_EQ(to_hex(order.encode()), image);
+    EXPECT_EQ(to_hex(FsOrder::encode(order.seq, order.input)), image);
+
+    const auto decoded = FsOrder::decode(from_hex(image));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded.value().seq, order.seq);
+    EXPECT_EQ(decoded.value().input, order.input);
+}
+
 TEST(FsWire, OutputRoundTripAndIdentity) {
     FsOutput out;
     out.source_fs = "p1";

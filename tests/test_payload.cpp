@@ -219,7 +219,7 @@ TEST(EnvelopeIncremental, RegionsMatchOldLayout) {
     }
     EXPECT_TRUE(env.verify_chain(keys));
 
-    // Decode-built envelopes (lazy scratch) agree too.
+    // Decode-built envelopes agree too.
     const auto decoded = crypto::SignedEnvelope::decode(env.encode());
     ASSERT_TRUE(decoded.has_value());
     EXPECT_TRUE(decoded.value().verify_chain(keys));
@@ -230,6 +230,37 @@ TEST(EnvelopeIncremental, RegionsMatchOldLayout) {
     const auto reparsed = crypto::SignedEnvelope::decode(tampered);
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_FALSE(reparsed.value().verify_chain(keys));
+}
+
+TEST(EnvelopeIncremental, RegionsMatchOldLayoutOnRsaAndDecodedEnvelopes) {
+    // The RSA backend signs the streamed region joined into one buffer; an
+    // envelope rebuilt by decode() and then extended streams the same
+    // region as the one that signed it. Five 512-bit signatures push the
+    // last region's tail past the inline stack buffer.
+    crypto::KeyService keys(crypto::KeyService::Backend::kRsa, 512, 0xab5);
+    const std::vector<std::string> principals{"P0", "P1", "P2", "P3", "P4"};
+    for (const auto& p : principals) keys.register_principal(p);
+
+    const Bytes payload = bytes_of("streamed-region equivalence probe, RSA backend");
+    crypto::SignedEnvelope env{payload};
+    for (std::size_t i = 0; i + 1 < principals.size(); ++i) {
+        env.add_signature(keys.signer(principals[i]));
+    }
+    const auto decoded = crypto::SignedEnvelope::decode(env.encode());
+    ASSERT_TRUE(decoded.has_value());
+    crypto::SignedEnvelope extended = decoded.value();
+    extended.add_signature(keys.signer(principals.back()));
+
+    const std::vector<const crypto::SignedEnvelope*> envelopes{&env, &decoded.value(), &extended};
+    for (const auto* e : envelopes) {
+        for (std::size_t i = 0; i < e->signatures().size(); ++i) {
+            const Bytes region = old_signed_region(payload, e->signatures(), i);
+            EXPECT_TRUE(keys.verifier(principals[i]).verify(region, e->signatures()[i].signature))
+                << "block " << i << " does not cover the old signed-region bytes";
+        }
+        EXPECT_TRUE(e->verify_chain(keys));
+    }
+    EXPECT_EQ(extended.signatures().size(), principals.size());
 }
 
 // ---------------------------------------------------------------------------
