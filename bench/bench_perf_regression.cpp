@@ -635,7 +635,7 @@ int main(int argc, char** argv) {
     scenario::JsonWriter w;
     w.begin_object();
     w.field("format", "failsig-bench-v1");
-    w.field("pr", "PR17");
+    w.field("pr", "PR18");
     w.field("mode", smoke ? "smoke" : "full");
     w.field("seed", seed);
     bench_crypto(w, smoke, seed);

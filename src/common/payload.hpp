@@ -9,9 +9,11 @@
 // turns the O(n) per-receiver re-marshal of the old plane into O(1)
 // encodes per logical message (see net::SimNetwork's copy counters).
 //
-// Every body buffer carries a process-unique sequence number, so the copy
-// counters can tell "same buffer, shared" from "freshly encoded" without
-// relying on pointer identity (which the allocator recycles).
+// Every body buffer carries a copy-accounting mark: the stats epoch of the
+// transport that last counted it. A transport counts a body the first time
+// it sees it in its current epoch, so "same buffer, shared" and "freshly
+// encoded" stay apart without pointer identity (which the allocator
+// recycles) and without a per-transport set of every body ever sent.
 //
 // Mutation is copy-on-write: `mutable_bytes()` flattens prefix + body into
 // a private buffer, so fault injectors (net::Corruptor) can still flip bits
@@ -98,10 +100,21 @@ public:
 
     /// Identity of the shared body buffer (pointer; null when empty).
     [[nodiscard]] const void* body_id() const { return body_.get(); }
-    /// Process-unique id of the body buffer (0 when empty) — each encoded
-    /// buffer gets a fresh one, so the copy counters never mistake an
-    /// allocator-recycled address for a shared buffer.
-    [[nodiscard]] std::uint64_t body_seq() const { return body_ ? body_->seq : 0; }
+    /// Copy accounting: stamps the body buffer with a transport's stats
+    /// `epoch` and returns true if it did not carry that stamp yet, i.e. the
+    /// first time this buffer is seen in the epoch (false when empty). A
+    /// transport serializes its own stamps (its stats lock or its thread).
+    [[nodiscard]] bool mark_counted(std::uint64_t epoch) const {
+        if (!body_ || body_->counted.load(std::memory_order_relaxed) == epoch) return false;
+        body_->counted.store(epoch, std::memory_order_relaxed);
+        return true;
+    }
+    /// A fresh process-unique stats epoch for mark_counted (never 0, the
+    /// mark of a body no transport has counted).
+    [[nodiscard]] static std::uint64_t new_stats_epoch() {
+        static std::atomic<std::uint64_t> counter{0};
+        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
     /// How many Payloads share the body buffer (1 when sole owner, 0 empty).
     [[nodiscard]] long body_use_count() const { return body_ ? body_.use_count() : 0; }
 
@@ -115,15 +128,11 @@ public:
 
 private:
     struct Body {
-        explicit Body(Bytes d) : data(std::move(d)), seq(next_seq()) {}
+        explicit Body(Bytes d) : data(std::move(d)) {}
         Bytes data;
-        std::uint64_t seq;
+        /// Stats epoch that last counted this buffer (see mark_counted).
+        std::atomic<std::uint64_t> counted{0};
     };
-
-    static std::uint64_t next_seq() {
-        static std::atomic<std::uint64_t> counter{0};
-        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
 
     Bytes prefix_;
     std::shared_ptr<Body> body_;

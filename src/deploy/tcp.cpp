@@ -23,12 +23,11 @@ TcpDeployment::TcpDeployment(SystemKind system, const DeploymentSpec& spec) {
         ++inflight_;
     };
     hooks.on_settled = [this] {
-        {
-            const std::lock_guard lock(mu_);
-            ensure(inflight_ > 0, "deploy: tcp settled more frames than were wired");
-            --inflight_;
-        }
-        board_cv_.notify_all();
+        const std::lock_guard lock(mu_);
+        ensure(inflight_ > 0, "deploy: tcp settled more frames than were wired");
+        // The frame's task was posted before it settled, so this completes
+        // quiescence only when that task already ran (or the frame dropped).
+        if (--inflight_ == 0 && quiescent_locked()) advance_or_hand_off_locked();
     };
     hooks.now = [this] { return vclock_.now(); };
     transport_ = std::make_unique<net::TcpTransport>(std::move(hooks),
@@ -92,14 +91,13 @@ TcpDeployment::NodeExecutor* TcpDeployment::find_executor(NodeId node) {
 }
 
 void TcpDeployment::post(NodeId node, std::function<void()> task) {
-    {
-        const std::lock_guard lock(mu_);
-        NodeExecutor* ex = find_executor(node);
-        if (ex == nullptr || ex->stopped || shutdown_) return;  // crashed: drop
-        ex->inbox.push_back(std::move(task));
-        ex->cv.notify_all();
-    }
-    board_cv_.notify_all();
+    const std::lock_guard lock(mu_);
+    NodeExecutor* ex = find_executor(node);
+    if (ex == nullptr || ex->stopped || shutdown_) return;  // crashed: drop
+    ex->inbox.push_back(std::move(task));
+    // A busy executor drains its inbox before it parks. A post never makes
+    // the system quiescent, so the coordinator is not told.
+    if (ex->idle) ex->cv.notify_one();
 }
 
 void TcpDeployment::post_at(NodeId node, TimePoint at, std::function<void()> task) {
@@ -140,8 +138,13 @@ void TcpDeployment::executor_loop(NodeExecutor& ex) {
             continue;
         }
         ex.idle = true;
-        board_cv_.notify_all();
+        // The last executor to park completes quiescence. After advancing
+        // it may be the one due, so it looks again before it waits.
+        if (quiescent_locked() && advance_or_hand_off_locked()) continue;
         ex.cv.wait(lock);
+        if (!ex.stopped && !shutdown_ && ex.inbox.empty() && ex.next_due > vclock_.now()) {
+            ++barrier_.empty_wakeups;
+        }
     }
     ex.idle = true;
     ex.inbox.clear();
@@ -167,31 +170,58 @@ bool TcpDeployment::quiescent_locked() const {
     for (const auto& [id, ex] : execs_) {
         if (ex->stopped) continue;
         // An executor with a timer due at (or before) virtual now counts as
-        // busy even while parked: right after an advance_to the coordinator
-        // must fall into the condvar wait — releasing the hub mutex so the
-        // notified executor can actually run — rather than keep spinning on
-        // a not-yet-republished next_due.
+        // busy even while parked: right after an advance whoever made it
+        // must wait — releasing the hub mutex so the notified executor can
+        // actually run — rather than advance again past a not-yet-run timer.
         if (!ex->idle || !ex->inbox.empty() || ex->next_due <= vnow) return false;
     }
     return true;
 }
 
-TimePoint TcpDeployment::earliest_due_locked() {
-    TimePoint next = driver_.next_due();
+TimePoint TcpDeployment::executors_due_locked() const {
+    TimePoint next = sim::Simulation::kNoEvent;
     for (const auto& [id, ex] : execs_) {
         if (!ex->stopped) next = std::min(next, ex->next_due);
     }
     return next;
 }
 
+bool TcpDeployment::advance_or_hand_off_locked() {
+    const TimePoint next = executors_due_locked();
+    if (next < driver_due_ && next <= deadline_) {
+        advance_locked(next);
+        ++barrier_.self_advances;
+        return true;
+    }
+    board_cv_.notify_one();
+    return false;
+}
+
+void TcpDeployment::advance_locked(TimePoint next) {
+    vclock_.advance_to(next);
+    ++barrier_.advances;
+    for (auto& [id, ex] : execs_) {
+        if (!ex->stopped && ex->next_due <= next) ex->cv.notify_one();
+    }
+}
+
+TcpDeployment::BarrierStats TcpDeployment::barrier_stats() const {
+    const std::lock_guard lock(mu_);
+    return barrier_;
+}
+
 void TcpDeployment::run_core(bool bounded, TimePoint deadline) {
     start_threads();
     std::unique_lock lock(mu_);
+    deadline_ = bounded ? deadline : sim::Simulation::kNoEvent;
     while (!shutdown_) {
         const TimePoint vnow = vclock_.now();
+        // Published for the executors' self-advance. While due driver
+        // events run it is <= now, so no executor advances meanwhile.
+        driver_due_ = driver_.next_due();
         // Driver timeline events due now run on this thread, unlocked (they
         // call submit/crash/... which take the hub mutex themselves).
-        if (driver_.next_due() <= vnow) {
+        if (driver_due_ <= vnow) {
             lock.unlock();
             driver_.run_until(vnow);
             lock.lock();
@@ -199,20 +229,21 @@ void TcpDeployment::run_core(bool bounded, TimePoint deadline) {
         }
         // Advance virtual time only at full quiescence: every executor
         // parked over an empty inbox, no frame between a sender's socket and
-        // its destination inbox. The timed wait is lost-wakeup insurance
-        // only; the normal path is a board_cv_ notify.
+        // its destination inbox. Executors advance on their own up to the
+        // next driver event; the coordinator is woken only when that is
+        // not enough. The timed wait is lost-wakeup insurance only.
         if (!quiescent_locked()) {
-            board_cv_.wait_for(lock, std::chrono::milliseconds(50));
+            const bool timed_out = board_cv_.wait_for(lock, std::chrono::milliseconds(50)) ==
+                                   std::cv_status::timeout;
+            ++barrier_.coordinator_wakeups;
+            if (timed_out && quiescent_locked()) ++barrier_.lost_wakeups;
             continue;
         }
-        const TimePoint next = earliest_due_locked();
-        if (next == sim::Simulation::kNoEvent) break;
-        if (bounded && next > deadline) break;
-        vclock_.advance_to(next);
-        for (auto& [id, ex] : execs_) {
-            if (!ex->stopped) ex->cv.notify_all();
-        }
+        const TimePoint next = std::min(driver_due_, executors_due_locked());
+        if (next == sim::Simulation::kNoEvent || next > deadline_) break;
+        advance_locked(next);
     }
+    driver_due_ = kNotRunning;
     lock.unlock();
     if (bounded && vclock_.now() < deadline) vclock_.advance_to(deadline);
     if (bounded) driver_.run_until(deadline);  // clamp the driver clock too

@@ -8,14 +8,33 @@
 // schedules on "its" Simulation exactly as before; only the mapping from
 // node to event loop changed (net::RuntimeEnv::sim_of).
 //
-// Time is virtual but shared: a VirtualClock all threads read. The
-// coordinator (the thread calling run()/run_until()) advances it only when
-// the whole system is quiescent — every executor idle with an empty inbox,
-// no frame between a sender's socket write and its destination inbox
-// (inflight accounting via transport hooks), and no driver event due — and
-// then jumps straight to the earliest pending event anywhere. An 8-second
-// fault timeline thus replays in however long the sockets actually take,
-// while every timeout still fires at its scripted virtual instant.
+// Time is virtual but shared: a VirtualClock all threads read. It advances
+// only when the whole system is quiescent — every executor parked over an
+// empty inbox with no timer due, no frame between a sender's socket write
+// and its destination inbox (inflight accounting via transport hooks), and
+// no driver event due — and then jumps straight to the earliest pending
+// event. An 8-second fault timeline thus replays in however long the
+// sockets actually take, while every timeout still fires at its scripted
+// virtual instant. Quiescence is decided under the one hub mutex mu_.
+//
+// Who wakes whom, and who advances:
+//  * A post (reactor delivery, driver submit, same-node send) signals its
+//    executor only if it is parked; a busy one drains its inbox before it
+//    parks. A post never wakes the coordinator: it cannot make the system
+//    quiescent.
+//  * Whichever thread completes quiescence decides: the last executor to
+//    park, or the reactor settling the last in-flight frame. If the
+//    earliest event is an executor's, strictly before the driver's next
+//    event (driver_due_, published by the coordinator) and within a bounded
+//    run's deadline, that thread advances the clock itself. Otherwise it
+//    signals the coordinator.
+//  * An advance, by anyone, goes through advance_locked and signals only
+//    the executors with a timer due at the new instant.
+//  * The coordinator (the thread calling run()/run_until()) runs driver
+//    events, advances to them, enforces the deadline and ends the run. Its
+//    50 ms timed wait is insurance; barrier_stats() counts when it was
+//    needed (lost_wakeups) and when an executor woke for nothing
+//    (empty_wakeups). Both stay 0 on a correct barrier.
 //
 // Crash semantics are real here: when a member's nodes are exclusively its
 // own (NewTOP, PBFT), crash() tears the executor threads down and the
@@ -102,6 +121,19 @@ public:
     /// The transport's node directory (tests assert the published ports).
     [[nodiscard]] const net::EndpointMap& endpoints() const { return transport_->endpoints(); }
 
+    /// Wake-up accounting of the quiescence barrier, since construction.
+    struct BarrierStats {
+        std::uint64_t advances{0};             ///< virtual-time jumps, by anyone
+        /// ... made without the coordinator (executor or reactor thread).
+        std::uint64_t self_advances{0};
+        std::uint64_t coordinator_wakeups{0};  ///< returns from the coordinator's wait
+        /// Executors woken with an empty inbox and no timer due.
+        std::uint64_t empty_wakeups{0};
+        /// Coordinator waits that timed out on an already quiescent system.
+        std::uint64_t lost_wakeups{0};
+    };
+    [[nodiscard]] BarrierStats barrier_stats() const;
+
 private:
     struct NodeExecutor {
         explicit NodeExecutor(NodeId node) : id(node) {}
@@ -129,8 +161,16 @@ private:
     bool run_on_node(NodeId node, std::function<void()> fn);
     /// All executors parked with empty inboxes and no frame in flight.
     [[nodiscard]] bool quiescent_locked() const;
-    /// Earliest pending virtual-time event across executors + driver.
-    [[nodiscard]] TimePoint earliest_due_locked();
+    /// Earliest pending virtual-time event across the live executors.
+    [[nodiscard]] TimePoint executors_due_locked() const;
+    /// The one way virtual time moves: jump to `next` (caller holds mu_ at
+    /// quiescence) and wake exactly the executors with a timer due by then.
+    void advance_locked(TimePoint next);
+    /// Run by whichever thread completes quiescence (a parking executor or
+    /// the reactor settling a frame): advances to the earliest executor
+    /// event if it is strictly before the driver's next event and within a
+    /// bounded run's deadline, else wakes the coordinator. True if advanced.
+    bool advance_or_hand_off_locked();
     void run_core(bool bounded, TimePoint deadline);
     /// True when no other member shares any of `member`'s nodes: crashing
     /// it may then tear its hosts down without touching a healthy member.
@@ -139,9 +179,19 @@ private:
     time::VirtualClock vclock_;
     sim::Simulation driver_;  // coordinator thread only
 
-    std::mutex mu_;  // the one hub mutex: inboxes, idle/stop flags, inflight
-    std::condition_variable board_cv_;
+    /// The one hub mutex: inboxes, idle/stop flags, inflight, the published
+    /// run bounds and the barrier counters.
+    mutable std::mutex mu_;
+    std::condition_variable board_cv_;  // the coordinator's
     std::uint64_t inflight_{0};
+    /// Outside a run no executor may advance: every candidate is > now >= 0.
+    static constexpr TimePoint kNotRunning = 0;
+    /// The driver's next event as of the coordinator's last look; executors
+    /// self-advance only strictly before it.
+    TimePoint driver_due_{kNotRunning};
+    /// A bounded run's deadline (kNoEvent when unbounded).
+    TimePoint deadline_{sim::Simulation::kNoEvent};
+    BarrierStats barrier_;
     bool shutdown_{false};
     bool threads_started_{false};
 

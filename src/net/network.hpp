@@ -16,7 +16,6 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bytes.hpp"
 #include "common/payload.hpp"
@@ -123,10 +122,10 @@ private:
     std::uint64_t bytes_sent_{0};
     std::uint64_t payload_bytes_copied_{0};
     std::uint64_t payload_bodies_encoded_{0};
-    /// Process-unique sequence ids of every body buffer seen, so a shared
-    /// body counts once even when two senders' fan-out tasks interleave
-    /// their sends (robust against allocator address recycling too).
-    std::unordered_set<std::uint64_t> seen_bodies_;
+    /// Body buffers carry the epoch that counted them, so a shared body
+    /// counts once even when two senders' fan-out tasks interleave their
+    /// sends; reset_stats() opens a fresh epoch.
+    std::uint64_t stats_epoch_{Payload::new_stats_epoch()};
 };
 
 }  // namespace failsig::net

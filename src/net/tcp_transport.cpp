@@ -227,7 +227,7 @@ void TcpTransport::reset_stats() {
     bytes_sent_ = 0;
     payload_bytes_copied_ = 0;
     payload_bodies_encoded_ = 0;
-    seen_bodies_.clear();
+    stats_epoch_ = Payload::new_stats_epoch();
 }
 
 // --- send path -----------------------------------------------------------
@@ -290,7 +290,7 @@ void TcpTransport::send(Endpoint src, Endpoint dst, Payload payload) {
         // the simulator the copied bytes equal the logical bytes; bodies
         // are still counted once so encode amortization stays visible.
         payload_bytes_copied_ += payload.size();
-        if (payload.body_seq() != 0 && seen_bodies_.insert(payload.body_seq()).second) {
+        if (payload.mark_counted(stats_epoch_)) {
             ++payload_bodies_encoded_;
         }
     }

@@ -3,11 +3,14 @@
 // (net/endpoint_map.hpp). The FrameReader sits directly behind the socket
 // read loop, so it is fuzzed the way an adversarial or corrupt peer would
 // exercise it: garbage streams, truncation at every offset, and hostile
-// length fields. Finally, the published ephemeral-port directory of real
-// TcpDeployments is checked — concurrent deployments must never collide.
+// length fields. Finally, real TcpDeployments: the published ephemeral-port
+// directory of concurrent deployments must never collide, and the
+// quiescence barrier wakes only executors that have work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -235,3 +238,72 @@ TEST(EndpointMap, ConcurrentTcpDeploymentsPublishDisjointEphemeralPorts) {
 
 }  // namespace
 }  // namespace failsig::net
+
+namespace failsig::deploy {
+namespace {
+
+// ---------------------------------------------------------------------------
+// The quiescence barrier: who wakes whom
+// ---------------------------------------------------------------------------
+
+class TcpBarrier : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(TcpBarrier, WakesOnlyExecutorsWithWorkAndSelfAdvances) {
+    // 200 requests spread over virtual time, one driver event each. Between
+    // two arrivals the stacks' own timers move the clock many times; the
+    // thread that completes quiescence (an executor, or the reactor) makes
+    // those advances itself. No executor is ever woken without work, and
+    // the coordinator is never left asleep on a quiescent system (its 50 ms
+    // wait never expires there).
+    DeploymentSpec spec;
+    spec.backend = Backend::kTcp;
+    spec.group_size = GetParam() == SystemKind::kPbft ? 4 : 3;
+    spec.seed = 9;
+    const auto d = make_deployment(GetParam(), spec);
+    auto* tcp = dynamic_cast<TcpDeployment*>(d.get());
+    ASSERT_NE(tcp, nullptr);
+
+    std::mutex mu;
+    std::array<int, 4> delivered{};
+    Observers observers;
+    observers.delivered = [&](int member, const Bytes&) {
+        const std::lock_guard lock(mu);
+        ++delivered[static_cast<std::size_t>(member)];
+    };
+    d->attach(std::move(observers));
+
+    constexpr int kRequests = 200;
+    const int n = d->group_size();
+    for (int k = 0; k < kRequests; ++k) {
+        const TimePoint at = static_cast<TimePoint>(k + 1) * 7 * kMillisecond;
+        const int member = k % n;
+        const Bytes payload{static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(k >> 8)};
+        d->schedule(at, [&d, member, payload] { d->submit(member, payload); });
+    }
+    d->run();
+
+    for (int m = 0; m < n; ++m) {
+        EXPECT_EQ(delivered[static_cast<std::size_t>(m)], kRequests) << "member " << m;
+    }
+    const TcpDeployment::BarrierStats stats = tcp->barrier_stats();
+    EXPECT_EQ(stats.empty_wakeups, 0u);
+    EXPECT_EQ(stats.lost_wakeups, 0u);
+    EXPECT_GT(stats.advances, static_cast<std::uint64_t>(kRequests));
+    EXPECT_GT(2 * stats.self_advances, stats.advances)
+        << stats.self_advances << " of " << stats.advances << " advances without the coordinator";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, TcpBarrier,
+                         ::testing::Values(SystemKind::kNewTop, SystemKind::kFsNewTop,
+                                           SystemKind::kPbft),
+                         [](const ::testing::TestParamInfo<SystemKind>& info) {
+                             switch (info.param) {
+                                 case SystemKind::kNewTop: return std::string("NewTOP");
+                                 case SystemKind::kFsNewTop: return std::string("FSNewTOP");
+                                 case SystemKind::kPbft: return std::string("PBFT");
+                             }
+                             return std::string("Unknown");
+                         });
+
+}  // namespace
+}  // namespace failsig::deploy
